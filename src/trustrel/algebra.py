@@ -52,8 +52,12 @@ class _PerCategory:
     def __getitem__(self, category: RelationCategory) -> float:
         return getattr(self, category.value)
 
+    def _items(self) -> tuple[tuple[str, float], ...]:
+        """(category name, value) pairs in canonical order."""
+        return (("hostile", self.hostile), ("neutral", self.neutral), ("friendly", self.friendly))
+
     def as_dict(self) -> dict[str, float]:
-        return {c.value: getattr(self, c.value) for c in CATEGORIES}
+        return dict(self._items())
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,10 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for category in CATEGORIES:
-            weight = self[category]
+        for name, weight in self._items():
             if not 0.0 <= weight <= 1.0:
                 raise ValidationError(
-                    f"{category} weight must lie in [0, 1], got {weight}"
+                    f"{name} weight must lie in [0, 1], got {weight}"
                 )
         total = self.hostile + self.neutral + self.friendly
         if abs(total - 1.0) > TOLERANCE:
@@ -99,11 +102,9 @@ class ScalarConfig(_PerCategory):
     friendly: int = 1
 
     def __post_init__(self) -> None:
-        for category in CATEGORIES:
-            if self[category] not in (-1, 1):
-                raise ValidationError(
-                    f"{category} sign must be -1 or +1, got {self[category]}"
-                )
+        for name, sign in self._items():
+            if sign not in (-1, 1):
+                raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
 
 
 #: Hostile counts against the score; neutral and friendly count toward it.
@@ -161,12 +162,9 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for category in CATEGORIES:
-            mass = self[category]
+        for name, mass in self._items():
             if not -TOLERANCE <= mass <= 1.0 + TOLERANCE:
-                raise ValidationError(
-                    f"{category} mass must lie in [0, 1], got {mass}"
-                )
+                raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
 
 
 def compute_bounds(
@@ -184,11 +182,13 @@ def compute_bounds(
     Raises ValidationError when the sign/weight combination is
     degenerate (empty middle band, or a band escaping the scale).
     """
-    signed = {c: signs[c] * weights[c] for c in CATEGORIES}
-    lower = sum(v for v in signed.values() if v < 0.0)
-    upper = sum(v for v in signed.values() if v > 0.0)
+    signed_friendly = signs.friendly * weights.friendly
+    signed = (signs.hostile * weights.hostile, signs.neutral * weights.neutral, signed_friendly)
+    # sum() keeps the int 0 of an empty side, which JSON prints as 0
+    lower = sum([v for v in signed if v < 0.0])
+    upper = sum([v for v in signed if v > 0.0])
     middle_low = lower + weights.hostile
-    middle_high = upper - signed[RelationCategory.FRIENDLY]
+    middle_high = upper - signed_friendly
     try:
         return ScalarBounds(lower, upper, middle_low, middle_high)
     except ValidationError as err:

@@ -250,6 +250,14 @@ def replace_entry_value(
 
     The property must appear exactly once.
     """
+    index = _entry_index(assessment, property_id)
+    entries = list(assessment.entries)
+    entries[index] = replace(entries[index], value=value)
+    return replace(assessment, entries=tuple(entries))
+
+
+def _entry_index(assessment: Assessment, property_id: str) -> int:
+    """Position of the one entry observing ``property_id``."""
     positions = [
         i for i, e in enumerate(assessment.entries) if e.property_id == property_id
     ]
@@ -258,9 +266,7 @@ def replace_entry_value(
             f"expected exactly one entry for {property_id!r}, "
             f"found {len(positions)}"
         )
-    entries = list(assessment.entries)
-    entries[positions[0]] = replace(entries[positions[0]], value=value)
-    return replace(assessment, entries=tuple(entries))
+    return positions[0]
 
 
 def _check_mode(mode: str) -> None:

@@ -29,15 +29,14 @@ from .algebra import (
     ScalarConfig,
     StrengthInterpretation,
     WeightVector,
+    classify,
+    compute_bounds,
+    compute_strength,
+    compute_trust_mass,
     evaluate,
     interpret_strength,
 )
-from .catalog import (
-    Assessment,
-    PropertyCatalog,
-    aggregate_masses,
-    replace_entry_value,
-)
+from .catalog import Assessment, PropertyCatalog, _entry_index, aggregate_masses
 from .errors import SchemaError, ValidationError
 
 #: Decimal places used by the text and CSV renderings.
@@ -313,24 +312,22 @@ def reweight(
     Fails when the other two weights are both zero and cannot absorb
     the remainder.
     """
-    others = [c for c in CATEGORIES if c is not category]
-    other_sum = weights[others[0]] + weights[others[1]]
+    index = CATEGORIES.index(category)
+    others = [weights.hostile, weights.neutral, weights.friendly]
+    del others[index]
+    other_sum = others[0] + others[1]
     remainder = 1.0 - value
     if other_sum <= 0.0:
         if abs(remainder) > TOLERANCE:
             raise ValidationError(
                 f"cannot renormalize: weights other than {category} are both zero"
             )
-        scaled = {others[0]: 0.0, others[1]: 0.0}
+        scaled = [0.0, 0.0]
     else:
         scale = remainder / other_sum
-        scaled = {c: weights[c] * scale for c in others}
-    scaled[category] = value
-    return WeightVector(
-        hostile=scaled[RelationCategory.HOSTILE],
-        neutral=scaled[RelationCategory.NEUTRAL],
-        friendly=scaled[RelationCategory.FRIENDLY],
-    )
+        scaled = [others[0] * scale, others[1] * scale]
+    scaled.insert(index, value)
+    return WeightVector(*scaled)
 
 
 def run_whatif(
@@ -345,40 +342,77 @@ def run_whatif(
 
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
-    reported as the flip point.
+    reported as the flip point.  What the grid leaves fixed is computed
+    once; each row, and the error of an invalid point, is bit for bit
+    that of evaluating the point alone.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
-    base_label = evaluate(base_masses, weights, signs).label.value
+    base = evaluate(base_masses, weights, signs)
+    if spec.target_kind == "weight":
+        category = spec.target_category()
+    else:
+        masses_at = _property_masses(catalog, assessment, spec.target, mode, base_masses)
     rows = []
     first_flip = None
     for value in spec.values():
         if spec.target_kind == "weight":
-            point_weights = reweight(weights, spec.target_category(), value)
-            point_masses = base_masses
+            point_weights = reweight(weights, category, value)
+            point_bounds, point_masses = compute_bounds(point_weights, signs), base_masses
         else:
-            swept = replace_entry_value(assessment, spec.target, value)
-            point_masses = aggregate_masses(swept, catalog, mode=mode)
-            point_weights = weights
-        evaluation = evaluate(point_masses, point_weights, signs)
-        flipped = evaluation.label.value != base_label
+            point_weights, point_bounds, point_masses = weights, base.bounds, masses_at(value)
+        trust_mass = compute_trust_mass(point_masses, point_weights, signs)
+        strength = compute_strength(point_masses, point_weights)
+        label = classify(trust_mass, point_bounds)
+        if not -TOLERANCE <= strength <= 1.0 + TOLERANCE:  # as TrustEvaluation checks it
+            raise ValidationError(f"strength must lie in [0, 1], got {strength}")
+        flipped = label is not base.label
         if flipped and first_flip is None:
             first_flip = value
-        rows.append(
-            SweepRow(
-                value=value,
-                trust_mass=evaluation.trust_mass,
-                strength=evaluation.strength,
-                label=evaluation.label.value,
-                flipped=flipped,
-            )
-        )
+        rows.append(SweepRow(value, trust_mass, strength, label.value, flipped))
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,
-        base_label=base_label,
+        base_label=base.label.value,
         rows=tuple(rows),
         first_flip=first_flip,
     )
+
+
+def _property_masses(catalog, assessment, property_id, mode, base_masses):
+    """Masses as a function of one entry's value, bit for bit those of
+    ``aggregate_masses(replace_entry_value(...))``: the swept category
+    adds the entries before it, the value, then the entries after it.
+    The other entries passed their checks in ``base_masses``, so only
+    the value's range, its cap and its category's total can fail.
+    """
+    index = _entry_index(assessment, property_id)
+    prop = catalog.by_id[property_id]
+    prefix, tail = 0.0, []
+    for i, entry in enumerate(assessment.entries):
+        if catalog.by_id[entry.property_id].category is prop.category:
+            if i < index:
+                prefix += entry.value
+            elif i > index:
+                tail.append(entry.value)
+    name, fixed = prop.category.value, base_masses.as_dict()
+
+    def masses_at(value: float) -> CategoryMassVector:
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(
+                f"observed value for {property_id!r} must lie in [0, 1], got {value}"
+            )
+        if mode == "strict" and value > prop.cap + TOLERANCE:
+            raise ValidationError(
+                f"value {value} for {property_id!r} exceeds its cap {prop.cap} (strict mode)"
+            )
+        total = prefix + value
+        for later in tail:
+            total += later
+        if total > 1.0 + TOLERANCE:
+            raise ValidationError(f"{name} mass {total} exceeds 1")
+        return CategoryMassVector(**{**fixed, name: total})
+
+    return masses_at
 
 
 # --- band table documents ----------------------------------------------------

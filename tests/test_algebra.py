@@ -303,3 +303,19 @@ class TestInterpretation:
     def test_delta_is_configurable(self, generic_weights):
         ev = tr.evaluate(tr.CategoryMassVector(0.9, 0.6, 0.15), generic_weights)
         assert not tr.interpret_strength(ev, 0.6, delta=0.01).fair_consistent
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: tr.WeightVector(0.5, 1.5, -1.0), "neutral weight must lie in [0, 1], got 1.5"),
+        (lambda: tr.WeightVector(-0.1, 0.6, 0.5), "hostile weight must lie in [0, 1], got -0.1"),
+        (lambda: tr.CategoryMassVector(0.2, 0.3, 1.1), "friendly mass must lie in [0, 1], got 1.1"),
+        (lambda: tr.ScalarConfig(neutral=0), "neutral sign must be -1 or +1, got 0"),
+        (lambda: tr.ScalarConfig(hostile=2, friendly=0), "hostile sign must be -1 or +1, got 2"),
+    ],
+)
+def test_value_type_messages_name_the_first_bad_category(build, message):
+    with pytest.raises(tr.ValidationError) as err:
+        build()
+    assert str(err.value) == message

@@ -1,10 +1,13 @@
 """Property-based tests for the calculus invariants."""
 
+import datetime as dt
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
+from trustrel.catalog import replace_entry_value
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -171,3 +174,149 @@ def test_reweight_preserves_normalization_and_ratio(w, thousandths):
         assert abs(
             rescaled.neutral / rescaled.friendly - w.neutral / w.friendly
         ) <= 1e-9
+
+
+# --- what-if sweeps against the per-point composition -----------------------
+
+CATALOG = tr.default_catalog()
+PROPERTY_IDS = [p.id for p in CATALOG.properties]
+SIGN_CONFIGS = [
+    tr.ScalarConfig(h, n, f) for h in (-1, 1) for n in (-1, 1) for f in (-1, 1)
+]
+# A negative friendly sign is degenerate unless the friendly weight is 0;
+# drawing from the other four half the time keeps most sweeps valid.
+sign_configs = st.one_of(
+    st.sampled_from([s for s in SIGN_CONFIGS if s.friendly == 1]),
+    st.sampled_from(SIGN_CONFIGS),
+)
+WINDOW = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
+
+
+@st.composite
+def zero_prone_weights(draw):
+    # Cut [0, 1] at two points of a 0.05 grid: a weight is 0 often.
+    i = draw(st.integers(0, 20))
+    j = draw(st.integers(i, 20))
+    parts = [i / 20.0, (j - i) / 20.0, (20 - j) / 20.0]
+    order = draw(st.permutations([0, 1, 2]))
+    return tr.WeightVector(parts[order[0]], parts[order[1]], parts[order[2]])
+
+
+@st.composite
+def swept_assessments(draw):
+    """An assessment, a target entry and a grid; about half are invalid.
+
+    The target's category holds two to five entries.  One draw in four
+    may put values anywhere in [0, 1] (over cap, totals above 1), one
+    in four sweeps all of [0, 1] instead of [0, cap], one in five adds
+    an entry whose property is already observed, and one in ten has an
+    infinite step.
+    """
+    category = draw(st.sampled_from(tr.CATEGORIES))
+    same = [p.id for p in CATALOG.for_category(category)]
+    target = draw(st.sampled_from(same))
+    rest = [pid for pid in same if pid != target]
+    ids = [target] + draw(st.lists(st.sampled_from(rest), min_size=1, max_size=4, unique=True))
+    ids += draw(st.lists(st.sampled_from([p for p in PROPERTY_IDS if p not in same]),
+                         max_size=6, unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        ids.append(draw(st.sampled_from(ids)))
+    ids = draw(st.permutations(ids))
+    loose = draw(st.integers(0, 3)) == 0
+    values = [
+        draw(st.one_of(st.floats(0.0, 1.0 if loose else cap), st.just(cap)))
+        for cap in (CATALOG.by_id[pid].cap for pid in ids)
+    ]
+    entries = [tr.AssessmentEntry(pid, v) for pid, v in zip(ids, values)]
+    assessment = tr.Assessment("AAA", "BBB", WINDOW, tuple(entries))
+    top = 1.0 if draw(st.integers(0, 3)) == 0 else CATALOG.by_id[target].cap
+    start, stop = draw(st.floats(0.0, top)), draw(st.floats(0.0, top))
+    # an infinite step gives the single grid point nan
+    step = float("inf") if draw(st.integers(0, 9)) == 0 else draw(st.floats(0.02, 0.5))
+    return assessment, category, target, (start, stop, step)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except tr.ValidationError as err:
+        return type(err), str(err)
+
+
+def _reference_whatif(catalog, assessment, weights, spec, signs, mode):
+    """The sweep as a fresh evaluation of every grid point."""
+    base_masses = tr.aggregate_masses(assessment, catalog, mode=mode)
+    base_label = tr.evaluate(base_masses, weights, signs).label.value
+    rows, first_flip = [], None
+    for value in spec.values():
+        if spec.target_kind == "weight":
+            point = tr.reweight(weights, spec.target_category(), value)
+            ev = tr.evaluate(base_masses, point, signs)
+        else:
+            swept = replace_entry_value(assessment, spec.target, value)
+            ev = tr.evaluate(tr.aggregate_masses(swept, catalog, mode=mode), weights, signs)
+        flipped = ev.label.value != base_label
+        if flipped and first_flip is None:
+            first_flip = value
+        rows.append(tr.SweepRow(value, ev.trust_mass, ev.strength, ev.label.value, flipped))
+    return tr.SweepResult(spec.target_kind, spec.target, base_label, tuple(rows), first_flip)
+
+
+@given(
+    swept_assessments(),
+    st.one_of(zero_prone_weights(), weight_vectors()),
+    sign_configs,
+    st.sampled_from(("strict", "free")),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_whatif_equals_per_point_evaluation(case, weights, signs, mode, sweep_weight):
+    assessment, category, target, grid = case
+    if sweep_weight:
+        spec = tr.SensitivitySpec("weight", category.value, *grid)
+    else:
+        spec = tr.SensitivitySpec("property", target, *grid)
+    args = (CATALOG, assessment, weights, spec, signs, mode)
+    got = _outcome(lambda: tr.run_whatif(*args))
+    want = _outcome(lambda: _reference_whatif(*args))
+    assert got == want
+    if isinstance(want, tr.SweepResult):
+        # == treats 0.0 and -0.0 alike; the rendering does not
+        assert got.to_json() == want.to_json()
+
+
+def _enum_keyed_bounds(weights, signs):
+    signed = {c: signs[c] * weights[c] for c in tr.CATEGORIES}
+    lower = sum(v for v in signed.values() if v < 0.0)
+    upper = sum(v for v in signed.values() if v > 0.0)
+    return lower, upper, lower + weights.hostile, upper - signed[RC.FRIENDLY]
+
+
+@given(st.one_of(zero_prone_weights(), weight_vectors()), st.sampled_from(SIGN_CONFIGS))
+def test_bounds_match_enum_keyed_formula_in_value_and_type(weights, signs):
+    want = _enum_keyed_bounds(weights, signs)
+    got = _outcome(lambda: tr.compute_bounds(weights, signs))
+    if isinstance(got, tr.ScalarBounds):
+        got = (got.lower, got.upper, got.middle_band_low, got.middle_band_high)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+    else:
+        assert got[1].startswith("degenerate sign/weight combination")
+
+
+def _enum_keyed_reweight(weights, category, value):
+    others = [c for c in tr.CATEGORIES if c is not category]
+    scale = (1.0 - value) / (weights[others[0]] + weights[others[1]])
+    scaled = {c: weights[c] * scale for c in others}
+    scaled[category] = value
+    return tuple(scaled[c] for c in tr.CATEGORIES)
+
+
+@given(weight_vectors(), st.sampled_from(tr.CATEGORIES), units)
+def test_reweight_matches_enum_keyed_formula(weights, category, value):
+    others = [weights[c] for c in tr.CATEGORIES if c is not category]
+    if others[0] + others[1] <= 0.0:
+        return
+    got = _outcome(lambda: tr.reweight(weights, category, value))
+    if isinstance(got, tr.WeightVector):
+        got = (got.hostile, got.neutral, got.friendly)
+        assert got == _enum_keyed_reweight(weights, category, value)

@@ -1,11 +1,15 @@
 """Unit tests for reports and what-if sweeps."""
 
+import datetime as dt
 import json
 
 import pytest
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
+from trustrel.catalog import replace_entry_value
+
+WINDOW = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
 
 
 class TestEvaluationReport:
@@ -154,6 +158,32 @@ class TestWhatIf:
         csv_lines = result.to_csv().splitlines()
         assert csv_lines[0] == "value,trust_mass,strength,label,flipped"
         assert len(csv_lines) == 4
+
+    def test_category_total_within_tolerance_of_one_is_accepted(self, catalog, case_weights):
+        # In this order the friendly caps sum to 1.0000000000000002.
+        ids = ["f.P2", "f.P3", "f.P5", "f.P6", "f.P1", "f.P4"]
+        entries = [tr.AssessmentEntry(pid, catalog.by_id[pid].cap) for pid in ids]
+        assessment = tr.Assessment("AAA", "BBB", WINDOW, tuple(entries))
+        spec = tr.SensitivitySpec("property", "f.P5", 0.0, 0.075, 0.025)
+        result = tr.run_whatif(catalog, assessment, case_weights, spec)
+        swept = replace_entry_value(assessment, "f.P5", result.rows[-1].value)
+        masses = tr.aggregate_masses(swept, catalog)
+        assert masses.friendly == 1.0000000000000002
+        last = tr.evaluate(masses, case_weights)
+        assert (result.rows[-1].trust_mass, result.rows[-1].strength) == (
+            last.trust_mass, last.strength
+        )
+
+    def test_invalid_grid_point_raises_that_points_error(
+        self, catalog, usa_assessment, case_weights
+    ):
+        # n.P1 has cap 0.25: 0.0, 0.1 and 0.2 pass, 0.1 + 0.2 does not
+        spec = tr.SensitivitySpec("property", "n.P1", 0.0, 1.0, 0.1)
+        with pytest.raises(tr.ValidationError) as err:
+            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
+        assert str(err.value) == (
+            "value 0.30000000000000004 for 'n.P1' exceeds its cap 0.25 (strict mode)"
+        )
 
 
 class TestBandTableDocuments:
