@@ -103,7 +103,7 @@ class ScalarConfig(_PerCategory):
 
     def __post_init__(self) -> None:
         for name, sign in self._items():
-            if sign not in (-1, 1):
+            if type(sign) is not int or sign not in (-1, 1):
                 raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
 
 

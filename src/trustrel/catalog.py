@@ -168,28 +168,7 @@ def aggregate_masses(
     on an unknown property id, a value above its cap in strict mode, or
     a category total above 1.
     """
-    _check_mode(mode)
-    totals = {c: 0.0 for c in CATEGORIES}
-    for entry in assessment.entries:
-        prop = catalog.by_id.get(entry.property_id)
-        if prop is None:
-            raise ValidationError(f"unknown property id {entry.property_id!r}")
-        if mode == "strict" and entry.value > prop.cap + TOLERANCE:
-            raise ValidationError(
-                f"value {entry.value} for {entry.property_id!r} exceeds its "
-                f"cap {prop.cap} (strict mode)"
-            )
-        totals[prop.category] += entry.value
-    for category in CATEGORIES:
-        if totals[category] > 1.0 + TOLERANCE:
-            raise ValidationError(
-                f"{category} mass {totals[category]} exceeds 1"
-            )
-    return CategoryMassVector(
-        hostile=totals[RelationCategory.HOSTILE],
-        neutral=totals[RelationCategory.NEUTRAL],
-        friendly=totals[RelationCategory.FRIENDLY],
-    )
+    return _scan(assessment, catalog, mode)
 
 
 def validate_assessment(
@@ -203,44 +182,66 @@ def validate_assessment(
     category totals above 1, evidence dated outside the window.
     Warnings: entries with no evidence at all, duplicated property ids.
     """
-    _check_mode(mode)
     report = AssessmentReport()
+    _scan(assessment, catalog, mode, report)
+    return report
+
+
+def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
+          report: AssessmentReport | None = None) -> CategoryMassVector | None:
+    """The one pass behind ``aggregate_masses`` and ``validate_assessment``.
+
+    Without a report the first violation raises ValidationError.  With
+    one, every violation and warning is collected in entry order, and
+    the masses are returned only when there is no violation.
+    """
+    if mode not in CAP_MODES:
+        raise ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
+
+    def violation(message: str | None) -> None:
+        if message is not None:
+            if report is None:
+                raise ValidationError(message)
+            report.violations.append(message)
+
     totals = {c: 0.0 for c in CATEGORIES}
     seen: set[str] = set()
     for entry in assessment.entries:
-        if entry.property_id in seen:
-            report.warnings.append(
-                f"property {entry.property_id!r} appears more than once"
-            )
-        seen.add(entry.property_id)
-        if not entry.evidence:
-            report.warnings.append(
-                f"entry {entry.property_id!r} has no supporting evidence"
-            )
-        for link in entry.evidence:
-            if not assessment.window.covers(link.date):
-                report.violations.append(
-                    f"evidence for {entry.property_id!r} dated {link.date} "
-                    f"falls outside the window {assessment.window}"
-                )
-        prop = catalog.by_id.get(entry.property_id)
+        pid = entry.property_id
+        if report is not None:
+            if pid in seen:
+                report.warnings.append(f"property {pid!r} appears more than once")
+            seen.add(pid)
+            if not entry.evidence:
+                report.warnings.append(f"entry {pid!r} has no supporting evidence")
+            for link in entry.evidence:
+                if not assessment.window.covers(link.date):
+                    report.violations.append(
+                        f"evidence for {pid!r} dated {link.date} "
+                        f"falls outside the window {assessment.window}"
+                    )
+        prop = catalog.by_id.get(pid)
         if prop is None:
-            report.violations.append(
-                f"unknown property id {entry.property_id!r}"
-            )
+            violation(f"unknown property id {pid!r}")
             continue
-        if mode == "strict" and entry.value > prop.cap + TOLERANCE:
-            report.violations.append(
-                f"value {entry.value} for {entry.property_id!r} exceeds its "
-                f"cap {prop.cap} (strict mode)"
-            )
+        violation(_cap_breach(prop, entry.value, mode))
         totals[prop.category] += entry.value
-    for category in CATEGORIES:
-        if totals[category] > 1.0 + TOLERANCE:
-            report.violations.append(
-                f"{category} mass {totals[category]} exceeds 1"
-            )
-    return report
+    for category, total in totals.items():
+        violation(_total_breach(category, total))
+    if report is None or report.ok:
+        return CategoryMassVector(*totals.values())
+    return None
+
+
+def _cap_breach(prop: PropertyDef, value: float, mode: str) -> str | None:
+    """Why ``value`` may not be observed for ``prop``, if it breaks the cap."""
+    over = mode == "strict" and value > prop.cap + TOLERANCE
+    return f"value {value} for {prop.id!r} exceeds its cap {prop.cap} (strict mode)" if over else None
+
+
+def _total_breach(category: RelationCategory, total: float) -> str | None:
+    """Why ``total`` may not be a category's mass, if it exceeds 1."""
+    return f"{category} mass {total} exceeds 1" if total > 1.0 + TOLERANCE else None
 
 
 def replace_entry_value(
@@ -269,24 +270,32 @@ def _entry_index(assessment: Assessment, property_id: str) -> int:
     return positions[0]
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in CAP_MODES:
-        raise ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
-
-
 # --- document parsing and serialization -------------------------------------
 
-def _require(doc: dict, key: str, kind: type, where: str):
+_MISSING = object()
+
+
+def _require(doc: dict, key: str, kind: type, where: str, default=_MISSING):
+    """Field ``key`` of the object ``doc``, checked to be a ``kind``; a
+    float takes any JSON number, but no number takes a bool.  A field with
+    a ``default`` may be absent, or null if the default is None."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
-    if key not in doc:
+    value = doc.get(key, default)
+    if type(value) is kind:  # the common case, decided by the checks below too
+        return value
+    if value is _MISSING:
         raise SchemaError(f"{where}: missing field {key!r}")
-    value = doc[key]
+    if value is default:
+        return value
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind):
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError(f"{where}.{key}: {value} is too large for a number") from None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -320,7 +329,7 @@ def catalog_from_dict(doc: dict) -> PropertyCatalog:
                 id=_require(raw, "id", str, where),
                 category=_parse_category(_require(raw, "category", str, where), where),
                 cap=_require(raw, "cap", float, where),
-                description=str(raw.get("description", "")),
+                description=_require(raw, "description", str, where, ""),
             )
         )
     return PropertyCatalog(version=version, properties=tuple(properties))
@@ -370,13 +379,13 @@ def assessment_from_dict(doc: dict) -> Assessment:
     for i, raw in enumerate(_require(doc, "entries", list, "assessment")):
         where = f"assessment.entries[{i}]"
         evidence = []
-        for j, raw_link in enumerate(raw.get("evidence", []) if isinstance(raw, dict) else []):
+        for j, raw_link in enumerate(_require(raw, "evidence", list, where, [])):
             link_where = f"{where}.evidence[{j}]"
             evidence.append(
                 EvidenceLink(
                     date=_parse_date(_require(raw_link, "date", str, link_where), link_where),
                     source=_require(raw_link, "source", str, link_where),
-                    summary=str(raw_link.get("summary", "")),
+                    summary=_require(raw_link, "summary", str, link_where, ""),
                 )
             )
         entries.append(
@@ -391,7 +400,7 @@ def assessment_from_dict(doc: dict) -> Assessment:
         object=_require(doc, "object", str, "assessment"),
         window=window,
         entries=tuple(entries),
-        notes=str(doc.get("notes", "")),
+        notes=_require(doc, "notes", str, "assessment", ""),
     )
 
 
@@ -427,6 +436,12 @@ def _load_json(path: str | Path) -> dict:
         raise SchemaError(
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except ValueError as err:  # an integer with more digits than Python converts
+        raise SchemaError(f"{path}: invalid JSON: {err}") from None
+
+
+def _save_json(doc: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_catalog(path: str | Path) -> PropertyCatalog:
@@ -435,10 +450,7 @@ def load_catalog(path: str | Path) -> PropertyCatalog:
 
 
 def save_catalog(catalog: PropertyCatalog, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(catalog_to_dict(catalog), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _save_json(catalog_to_dict(catalog), path)
 
 
 def load_assessment(path: str | Path) -> Assessment:
@@ -447,10 +459,7 @@ def load_assessment(path: str | Path) -> Assessment:
 
 
 def save_assessment(assessment: Assessment, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(assessment_to_dict(assessment), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _save_json(assessment_to_dict(assessment), path)
 
 
 def default_catalog() -> PropertyCatalog:

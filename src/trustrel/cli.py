@@ -281,6 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-,+,+" for an option, so join it to its flag
+    while "--signs" in argv[:-1]:
+        i = argv.index("--signs")
+        argv[i:i + 2] = [f"--signs={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,29 +14,32 @@ reader always sees a consistent snapshot.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from .algebra import (
+    CATEGORIES,
     DEFAULT_SIGNS,
     BandTable,
     CategoryMassVector,
-    RelationCategory,
-    ScalarBounds,
     ScalarConfig,
     TrustEvaluation,
     WeightVector,
+    classify,
+    compute_bounds,
     evaluate,
 )
 from .catalog import (
     Assessment,
+    AssessmentReport,
     DateWindow,
     PropertyCatalog,
-    aggregate_masses,
-    validate_assessment,
+    _load_json,
+    _require,
+    _save_json,
+    _scan,
     window_from_dict,
     window_to_dict,
 )
@@ -89,6 +92,7 @@ _SELF_WEIGHTS = WeightVector(0.0, 0.0, 1.0)
 _SELF_MASSES = CategoryMassVector(0.0, 0.0, 1.0)
 
 _RecordKey = tuple[str, str, date, date]
+_CATEGORY_NAMES = tuple(c.value for c in CATEGORIES)
 
 
 class RelationStore:
@@ -144,23 +148,18 @@ class RelationStore:
         earlier record; distinct windows coexist.  Self-relations are
         fixed friendly and cannot be evaluated.
         """
-        self.nation(subject)
-        self.nation(object)
-        if subject == object:
-            raise ValidationError(
-                f"self-relation {subject!r} is fixed friendly and cannot be evaluated"
-            )
+        self._check_pair(subject, object)
         if assessment.subject != subject or assessment.object != object:
             raise ValidationError(
                 f"assessment covers {assessment.subject!r}->{assessment.object!r}, "
                 f"not {subject!r}->{object!r}"
             )
-        report = validate_assessment(assessment, catalog, mode=mode)
+        report = AssessmentReport()
+        masses = _scan(assessment, catalog, mode, report)
         if not report.ok:
             raise ValidationError(
                 "assessment is invalid: " + "; ".join(report.violations)
             )
-        masses = aggregate_masses(assessment, catalog, mode=mode)
         evaluation = evaluate(masses, weights, signs, bands=bands)
         record = RelationRecord(
             subject=subject,
@@ -177,6 +176,14 @@ class RelationStore:
             records[key] = record
             self._records = records
         return record
+
+    def _check_pair(self, subject: str, object: str) -> None:
+        self.nation(subject)
+        self.nation(object)
+        if subject == object:
+            raise ValidationError(
+                f"self-relation {subject!r} is fixed friendly and cannot be evaluated"
+            )
 
     def query_relation(
         self, subject: str, object: str, window: DateWindow
@@ -253,42 +260,37 @@ class RelationStore:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RelationStore":
-        store = cls()
-        if not isinstance(doc, dict) or "nations" not in doc or "records" not in doc:
-            raise SchemaError("store: expected an object with nations and records")
-        for i, raw in enumerate(doc["nations"]):
-            where = f"store.nations[{i}]"
-            if not isinstance(raw, dict) or "id" not in raw:
-                raise SchemaError(f"{where}: expected an object with an id")
-            store.register_nation(
-                Nation(
-                    id=str(raw["id"]),
-                    name=str(raw.get("name", "")),
-                    un_member=bool(raw.get("un_member", True)),
-                )
-            )
-        for i, raw in enumerate(doc["records"]):
-            record = _record_from_dict(raw, f"store.records[{i}]")
-            key = (record.subject, record.object, record.window.start, record.window.end)
-            store._records[key] = record
+        """Rebuild a store from its document form, re-deriving every record;
+        a nation or record that does not parse, breaks an invariant or
+        disagrees with the calculus is a SchemaError naming it."""
+        store, where = cls(), "store"
+        try:
+            for i, raw in enumerate(_require(doc, "nations", list, "store")):
+                where = f"store.nations[{i}]"
+                store.register_nation(Nation(
+                    id=_require(raw, "id", str, where),
+                    name=_require(raw, "name", str, where, ""),
+                    un_member=_require(raw, "un_member", bool, where, True),
+                ))
+            for i, raw in enumerate(_require(doc, "records", list, "store")):
+                where = f"store.records[{i}]"
+                record = _record_from_dict(raw, where)
+                store._check_pair(record.subject, record.object)
+                key = (record.subject, record.object, record.window.start, record.window.end)
+                if key in store._records:
+                    raise ValidationError(f"duplicate record for {record.subject}->"
+                                          f"{record.object}@{record.window}")
+                store._records[key] = record
+        except ValidationError as err:
+            raise SchemaError(f"{where}: {err}") from None
         return store
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "RelationStore":
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise SchemaError(
-                f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
-            ) from None
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json(path))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationStore):
@@ -303,8 +305,8 @@ def _record_to_dict(record: RelationRecord) -> dict:
         "object": record.object,
         "window": window_to_dict(record.window),
         "assessment_ref": record.assessment_ref,
-        "weights": record.weights.as_dict() if record.weights else None,
-        "signs": record.signs.as_dict() if record.signs else None,
+        "weights": record.weights.as_dict(),
+        "signs": record.signs.as_dict(),
         "evaluation": {
             "trust_mass": evaluation.trust_mass,
             "strength": evaluation.strength,
@@ -312,49 +314,46 @@ def _record_to_dict(record: RelationRecord) -> dict:
             "no_hostile": evaluation.no_hostile,
             "band_label": evaluation.band_label,
             "bounds": evaluation.bounds.as_dict(),
-        }
-        if evaluation
-        else None,
+        },
     }
 
 
 def _record_from_dict(doc: dict, where: str) -> RelationRecord:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
-    try:
-        raw_eval = doc["evaluation"]
-        raw_bounds = raw_eval["bounds"]
-        evaluation = TrustEvaluation(
-            trust_mass=float(raw_eval["trust_mass"]),
-            strength=float(raw_eval["strength"]),
-            label=RelationCategory(raw_eval["label"]),
-            bounds=ScalarBounds(
-                lower=float(raw_bounds["lower"]),
-                upper=float(raw_bounds["upper"]),
-                middle_band_low=float(raw_bounds["middle_band_low"]),
-                middle_band_high=float(raw_bounds["middle_band_high"]),
-            ),
-            no_hostile=bool(raw_eval["no_hostile"]),
-            band_label=raw_eval.get("band_label"),
-        )
-        weights_doc = doc["weights"]
-        signs_doc = doc["signs"]
-        return RelationRecord(
-            subject=str(doc["subject"]),
-            object=str(doc["object"]),
-            window=window_from_dict(doc["window"], f"{where}.window"),
-            evaluation=evaluation,
-            weights=WeightVector(
-                hostile=float(weights_doc["hostile"]),
-                neutral=float(weights_doc["neutral"]),
-                friendly=float(weights_doc["friendly"]),
-            ),
-            signs=ScalarConfig(
-                hostile=int(signs_doc["hostile"]),
-                neutral=int(signs_doc["neutral"]),
-                friendly=int(signs_doc["friendly"]),
-            ),
-            assessment_ref=doc.get("assessment_ref"),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise SchemaError(f"{where}: malformed record ({err})") from None
+    """Rebuild a stored record through the calculus: bounds from the stored
+    weights and signs, the label from the stored trust mass, each equal to
+    what was stored.  Masses and band tables are not stored, so
+    ``no_hostile`` and ``band_label`` are only type-checked."""
+    weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float, where))
+    signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int, where))
+    raw_eval, eval_where = _require(doc, "evaluation", dict, where), f"{where}.evaluation"
+    bounds = compute_bounds(weights, signs)
+    stored = _fields(raw_eval, "bounds", bounds.as_dict(), float, eval_where)
+    if stored != bounds.as_dict():
+        raise SchemaError(f"{eval_where}.bounds: {stored} are not the bounds of the weights and signs")
+    trust_mass = _require(raw_eval, "trust_mass", float, eval_where)
+    label = classify(trust_mass, bounds)
+    stored = _require(raw_eval, "label", str, eval_where)
+    if stored != label.value:
+        raise SchemaError(f"{eval_where}.label: trust mass {trust_mass} is {label}, not {stored!r}")
+    return RelationRecord(
+        subject=_require(doc, "subject", str, where),
+        object=_require(doc, "object", str, where),
+        window=window_from_dict(_require(doc, "window", dict, where), f"{where}.window"),
+        evaluation=TrustEvaluation(
+            trust_mass=trust_mass,
+            strength=_require(raw_eval, "strength", float, eval_where),
+            label=label,
+            bounds=bounds,
+            no_hostile=_require(raw_eval, "no_hostile", bool, eval_where),
+            band_label=_require(raw_eval, "band_label", str, eval_where, None),
+        ),
+        weights=weights,
+        signs=signs,
+        assessment_ref=_require(doc, "assessment_ref", str, where, None),
+    )
+
+
+def _fields(doc: dict, key: str, names, kind: type, where: str) -> dict:
+    """The fields ``names`` of the object ``doc[key]``, each a ``kind``."""
+    raw, where = _require(doc, key, dict, where), f"{where}.{key}"
+    return {name: _require(raw, name, kind, where) for name in names}

@@ -36,8 +36,18 @@ from .algebra import (
     evaluate,
     interpret_strength,
 )
-from .catalog import Assessment, PropertyCatalog, _entry_index, aggregate_masses
-from .errors import SchemaError, ValidationError
+from .catalog import (
+    Assessment,
+    PropertyCatalog,
+    _cap_breach,
+    _entry_index,
+    _load_json,
+    _parse_category,
+    _require,
+    _total_breach,
+    aggregate_masses,
+)
+from .errors import ValidationError
 
 #: Decimal places used by the text and CSV renderings.
 TEXT_PRECISION = 6
@@ -201,8 +211,8 @@ class SensitivitySpec:
             )
         if self.target_kind == "weight":
             self.target_category()
-        if not self.step > 0.0:
-            raise ValidationError(f"sweep step must be positive, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValidationError(f"sweep step must be positive and finite, got {self.step}")
         for value in (self.start, self.stop):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(
@@ -401,15 +411,12 @@ def _property_masses(catalog, assessment, property_id, mode, base_masses):
             raise ValidationError(
                 f"observed value for {property_id!r} must lie in [0, 1], got {value}"
             )
-        if mode == "strict" and value > prop.cap + TOLERANCE:
-            raise ValidationError(
-                f"value {value} for {property_id!r} exceeds its cap {prop.cap} (strict mode)"
-            )
         total = prefix + value
         for later in tail:
             total += later
-        if total > 1.0 + TOLERANCE:
-            raise ValidationError(f"{name} mass {total} exceeds 1")
+        breach = _cap_breach(prop, value, mode) or _total_breach(prop.category, total)
+        if breach:
+            raise ValidationError(breach)
         return CategoryMassVector(**{**fixed, name: total})
 
     return masses_at
@@ -419,31 +426,17 @@ def _property_masses(catalog, assessment, property_id, mode, base_masses):
 
 def band_table_from_dict(doc: dict) -> BandTable:
     """Build a band table from its document form."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("bands"), list):
-        raise SchemaError("bands: expected an object with a bands array")
     bands = []
-    for i, raw in enumerate(doc["bands"]):
-        where = f"bands[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected an object")
-        try:
-            parent = RelationCategory(raw["parent"])
-        except (KeyError, ValueError):
-            valid = ", ".join(c.value for c in CATEGORIES)
-            raise SchemaError(
-                f"{where}.parent: expected one of {valid}, got {raw.get('parent')!r}"
-            ) from None
-        try:
-            bands.append(
-                Band(
-                    label=str(raw["label"]),
-                    low=float(raw["low"]),
-                    high=float(raw["high"]),
-                    parent=parent,
-                )
+    for i, raw in enumerate(_require(doc, "bands", list, "band_table")):
+        where = f"band_table.bands[{i}]"
+        bands.append(
+            Band(
+                label=_require(raw, "label", str, where),
+                low=_require(raw, "low", float, where),
+                high=_require(raw, "high", float, where),
+                parent=_parse_category(_require(raw, "parent", str, where), f"{where}.parent"),
             )
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaError(f"{where}: malformed band ({err})") from None
+        )
     return BandTable(bands)
 
 
@@ -458,11 +451,4 @@ def band_table_to_dict(table: BandTable) -> dict:
 
 def load_band_table(path: str | Path) -> BandTable:
     """Read a band table JSON document."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(
-            f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from None
-    return band_table_from_dict(doc)
+    return band_table_from_dict(_load_json(path))

@@ -313,6 +313,8 @@ class TestInterpretation:
         (lambda: tr.CategoryMassVector(0.2, 0.3, 1.1), "friendly mass must lie in [0, 1], got 1.1"),
         (lambda: tr.ScalarConfig(neutral=0), "neutral sign must be -1 or +1, got 0"),
         (lambda: tr.ScalarConfig(hostile=2, friendly=0), "hostile sign must be -1 or +1, got 2"),
+        (lambda: tr.ScalarConfig(True, 1.0, 1), "hostile sign must be -1 or +1, got True"),
+        (lambda: tr.ScalarConfig(friendly=1.0), "friendly sign must be -1 or +1, got 1.0"),
     ],
 )
 def test_value_type_messages_name_the_first_bad_category(build, message):

@@ -65,6 +65,12 @@ class TestValidate:
         assert main(["validate", "--catalog", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_oversized_integer_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"version": "1", "properties": [' + "9" * 5000 + "]}", encoding="utf-8")
+        assert main(["validate", "--catalog", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_case_study_text(self, capsys):
@@ -239,3 +245,16 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--format", "json"],
+        ["whatif", "--target", "property:n.P3", "--sweep", "0.4:0:0.04"],
+    ])
+    def test_signs_led_by_minus_read_alike_in_both_spellings(self, command, capsys):
+        argv = command[:1] + ["--catalog", CATALOG, "--assessment", USA,
+                              "--weights", "0.30,0.30,0.40"] + command[1:]
+        outputs = []
+        for signs in (["--signs", "-,-,+"], ["--signs=-,-,+"]):
+            assert main(argv + signs) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]

@@ -66,7 +66,7 @@ CASES = {
         ["whatif", "--catalog", CATALOG, "--assessment", USA,
          "--weights", "0.5,0.5,0", "--signs=-,+,-",
          "--target", "weight:friendly", "--sweep", "0:0.3:0.1"], 1),
-    # an infinite step makes the only grid point nan, which no check accepts
+    # an infinite step is rejected before any grid point is evaluated
     "whatif_usa_property_f.P1_infinite_step": (
         ["whatif", "--catalog", CATALOG, "--assessment", USA,
          "--weights", "0.40,0.20,0.40",

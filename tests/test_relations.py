@@ -1,10 +1,13 @@
 """Unit tests for the nation registry and relation store."""
 
+import copy
 import datetime as dt
+import json
 
 import pytest
 
 import trustrel as tr
+from trustrel.cli import main
 
 WINDOW = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
 CASE_WEIGHTS = tr.WeightVector(0.40, 0.20, 0.40)
@@ -267,3 +270,76 @@ class TestPersistence:
         path.write_text('{"nations": []}', encoding="utf-8")
         with pytest.raises(tr.SchemaError, match="records"):
             tr.RelationStore.load(path)
+
+
+def _set(*path, value):
+    """Break a store document by setting the field at ``path`` to ``value``."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+def _append(key, item):
+    return lambda doc: doc[key].append(copy.deepcopy(item(doc)))
+
+
+# name -> (the location the error must name, how the document is broken).
+# records[0] is GBR->FRA (no evidence, neutral), records[1] USA->GBR
+# (trust mass 0.48, middle band [0, 0.2], friendly); nations are FRA, GBR, USA.
+STORE_DEFECTS = {
+    "unregistered subject": ("store.records[0]", _set("records", 0, "subject", value="XYZ")),
+    "unregistered object": ("store.records[1]", _set("records", 1, "object", value="XYZ")),
+    "self-relation": ("store.records[0]", _set("records", 0, "object", value="GBR")),
+    "duplicate key": ("store.records[2]", _append("records", lambda doc: doc["records"][1])),
+    "bounds unrelated to weights and signs": (
+        "store.records[1].evaluation.bounds",
+        _set("records", 1, "evaluation", "bounds", "middle_band_high", value=0.3)),
+    "label unrelated to trust mass": (
+        "store.records[1].evaluation.label",
+        _set("records", 1, "evaluation", "label", value="hostile")),
+    "string weight": ("store.records[0].weights.neutral",
+                      _set("records", 0, "weights", "neutral", value="0.2")),
+    "bool sign": ("store.records[0].signs.friendly",
+                  _set("records", 0, "signs", "friendly", value=True)),
+    "float sign": ("store.records[0].signs.hostile",
+                   _set("records", 0, "signs", "hostile", value=-1.0)),
+    "non-string nation id": ("store.nations[0].id", _set("nations", 0, "id", value=7)),
+    "non-string record id": ("store.records[1].subject", _set("records", 1, "subject", value=7)),
+    "non-bool un_member": ("store.nations[2].un_member",
+                           _set("nations", 2, "un_member", value=1)),
+    "duplicate nation": ("store.nations[3]", _append("nations", lambda doc: {"id": "USA"})),
+    "weights not summing to 1": ("store.records[0]",
+                                 _set("records", 0, "weights", "hostile", value=0.5)),
+    "window start after end": ("store.records[1]",
+                               _set("records", 1, "window", "start", value="2006-01-01")),
+    "trust mass off the scale": ("store.records[1]",
+                                 _set("records", 1, "evaluation", "trust_mass", value=2.0)),
+    "strength above 1": ("store.records[1]",
+                         _set("records", 1, "evaluation", "strength", value=1.5)),
+    "integer too large for a float": ("store.records[1].evaluation.strength",
+                                      _set("records", 1, "evaluation", "strength", value=10**400)),
+}
+
+
+@pytest.mark.parametrize(
+    "where, corrupt", STORE_DEFECTS.values(), ids=list(STORE_DEFECTS)
+)
+def test_store_load_rejects_what_it_cannot_rederive(
+    where, corrupt, store, catalog, usa_assessment, tmp_path, capsys
+):
+    store.evaluate_relation("USA", "GBR", usa_assessment, catalog, CASE_WEIGHTS)
+    store.evaluate_relation(
+        "GBR", "FRA", empty_assessment("GBR", "FRA"), catalog, CASE_WEIGHTS
+    )
+    doc = store.to_dict()
+    assert tr.RelationStore.from_dict(copy.deepcopy(doc)) == store
+    corrupt(doc)
+    with pytest.raises(tr.SchemaError) as err:
+        tr.RelationStore.from_dict(doc)
+    assert str(err.value).startswith(where)
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["matrix", "--store", str(path), "--window", "2001-01-01:2005-12-31"]) == 2
+    assert where in capsys.readouterr().err

@@ -95,8 +95,9 @@ class TestSensitivitySpec:
         assert spec.values() == [0.45]
 
     def test_rejects_bad_step(self):
-        with pytest.raises(tr.ValidationError, match="step"):
-            tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.0)
+        for step in (0.0, float("inf"), float("nan")):
+            with pytest.raises(tr.ValidationError, match=f"finite, got {step}"):
+                tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, step)
 
     def test_rejects_out_of_range_endpoints(self):
         with pytest.raises(tr.ValidationError, match=r"\[0, 1\]"):
