@@ -18,6 +18,7 @@ they are safe to call from any number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -228,7 +229,7 @@ def classify(trust_mass: float, bounds: ScalarBounds) -> RelationCategory:
     A score outside [lower, upper] (beyond tolerance) signals
     inconsistent inputs and is rejected.
     """
-    if trust_mass < bounds.lower - TOLERANCE or trust_mass > bounds.upper + TOLERANCE:
+    if not bounds.lower - TOLERANCE <= trust_mass <= bounds.upper + TOLERANCE:
         raise ValidationError(
             f"trust mass {trust_mass} lies outside the scale "
             f"[{bounds.lower}, {bounds.upper}]"
@@ -310,7 +311,7 @@ def classify_extended(trust_mass: float, bands: BandTable) -> str:
     total cover is rejected.
     """
     first, last = bands.bands[0], bands.bands[-1]
-    if trust_mass < first.low - TOLERANCE or trust_mass > last.high + TOLERANCE:
+    if not first.low - TOLERANCE <= trust_mass <= last.high + TOLERANCE:
         raise ValidationError(
             f"trust mass {trust_mass} lies outside the band table cover "
             f"[{first.low}, {last.high}]"
@@ -419,10 +420,12 @@ def interpret_strength(
     """Flag the qualitative readings of an evaluation's strength.
 
     ``neutral_mass`` must be the neutral category mass that produced
-    the evaluation.  ``delta`` is the distance within which a value
-    counts as "near".  Zero strength carries no evidence at all, so no
-    nearness flag fires for it.
+    the evaluation.  ``delta``, finite and non-negative, is the distance
+    within which a value counts as "near".  Zero strength carries no
+    evidence at all, so no nearness flag fires for it.
     """
+    if not 0.0 <= delta < math.inf:
+        raise ValidationError(f"delta must be finite and non-negative, got {delta}")
     strength = evaluation.strength
     # Middle-band width recovers the neutral weight for every accepted
     # sign configuration.

@@ -282,10 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes "-,+,+" for an option, so join it to its flag
-    while "--signs" in argv[:-1]:
-        i = argv.index("--signs")
-        argv[i:i + 2] = [f"--signs={argv[i + 1]}"]
+    # argparse takes "-,+,+" for an option, so join it to its flag,
+    # spelled out or abbreviated
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) > 2 and "--signs".startswith(argv[i]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

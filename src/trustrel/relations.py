@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 
 from .algebra import (
@@ -89,9 +88,8 @@ class RelationRecord:
 # A nation trusts itself completely: all emphasis and all evidence on
 # the friendly category puts the score at the very top of the scale.
 _SELF_WEIGHTS = WeightVector(0.0, 0.0, 1.0)
-_SELF_MASSES = CategoryMassVector(0.0, 0.0, 1.0)
+_SELF_EVALUATION = evaluate(CategoryMassVector(0.0, 0.0, 1.0), _SELF_WEIGHTS)
 
-_RecordKey = tuple[str, str, date, date]
 _CATEGORY_NAMES = tuple(c.value for c in CATEGORIES)
 
 
@@ -101,7 +99,9 @@ class RelationStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._nations: dict[str, Nation] = {}
-        self._records: dict[_RecordKey, RelationRecord] = {}
+        # (subject, object) -> that pair's records by window; near misses
+        # that share a start are listed in this map's insertion order
+        self._records: dict[tuple[str, str], dict[DateWindow, RelationRecord]] = {}
 
     # -- registry -------------------------------------------------------
 
@@ -127,7 +127,11 @@ class RelationStore:
 
     @property
     def records(self) -> tuple[RelationRecord, ...]:
-        return tuple(self._records[key] for key in sorted(self._records))
+        return tuple(
+            windows[window]
+            for _, windows in sorted(self._records.items())
+            for window in sorted(windows, key=lambda w: (w.start, w.end))
+        )
 
     # -- evaluation and queries ------------------------------------------
 
@@ -170,10 +174,10 @@ class RelationStore:
             signs=signs,
             assessment_ref=f"{assessment.ref} (catalog {catalog.version})",
         )
-        key = (subject, object, assessment.window.start, assessment.window.end)
+        pair = (subject, object)
         with self._lock:
             records = dict(self._records)
-            records[key] = record
+            records[pair] = {**records.get(pair, {}), assessment.window: record}
             self._records = records
         return record
 
@@ -200,22 +204,13 @@ class RelationStore:
         self.nation(object)
         if subject == object:
             return self._self_record(subject, window)
-        records = self._records
-        containing = []
-        overlapping = []
-        for record in records.values():
-            if record.subject != subject or record.object != object:
-                continue
-            if record.window.contains(window):
-                containing.append(record)
-            elif record.window.overlaps(window):
-                overlapping.append(record)
+        windows = self._records.get((subject, object), {})
+        containing = [w for w in windows if w.contains(window)]
         if containing:
-            containing.sort(key=lambda r: (r.window.end - r.window.start, r.window.start))
-            return containing[0]
+            return windows[min(containing, key=lambda w: (w.end - w.start, w.start))]
         near = tuple(
-            f"{record.subject}->{record.object}@{record.window}"
-            for record in sorted(overlapping, key=lambda r: r.window.start)
+            f"{subject}->{object}@{w}"
+            for w in sorted((w for w in windows if w.overlaps(window)), key=lambda w: w.start)
         )
         return RelationRecord(subject=subject, object=object, window=window, near_misses=near)
 
@@ -227,8 +222,6 @@ class RelationStore:
         The matrix is not symmetrized and no transitive fill-in is
         performed; unevaluated cells stay "undefined".
         """
-        for nation_id in nation_ids:
-            self.nation(nation_id)
         return [
             [self.query_relation(row, col, window).label for col in nation_ids]
             for row in nation_ids
@@ -236,12 +229,11 @@ class RelationStore:
 
     @staticmethod
     def _self_record(nation_id: str, window: DateWindow) -> RelationRecord:
-        evaluation = evaluate(_SELF_MASSES, _SELF_WEIGHTS, DEFAULT_SIGNS)
         return RelationRecord(
             subject=nation_id,
             object=nation_id,
             window=window,
-            evaluation=evaluation,
+            evaluation=_SELF_EVALUATION,
             weights=_SELF_WEIGHTS,
             signs=DEFAULT_SIGNS,
             assessment_ref="synthesized self-relation",
@@ -276,11 +268,11 @@ class RelationStore:
                 where = f"store.records[{i}]"
                 record = _record_from_dict(raw, where)
                 store._check_pair(record.subject, record.object)
-                key = (record.subject, record.object, record.window.start, record.window.end)
-                if key in store._records:
+                windows = store._records.setdefault((record.subject, record.object), {})
+                if record.window in windows:
                     raise ValidationError(f"duplicate record for {record.subject}->"
                                           f"{record.object}@{record.window}")
-                store._records[key] = record
+                windows[record.window] = record
         except ValidationError as err:
             raise SchemaError(f"{where}: {err}") from None
         return store

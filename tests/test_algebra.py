@@ -165,6 +165,8 @@ class TestClassify:
             tr.classify(0.7, b)
         with pytest.raises(tr.ValidationError):
             tr.classify(-0.46, b)
+        with pytest.raises(tr.ValidationError, match="nan lies outside"):
+            tr.classify(float("nan"), b)
 
 
 class TestBandTable:
@@ -185,6 +187,8 @@ class TestBandTable:
     def test_out_of_cover_rejected(self, septuple_bands):
         with pytest.raises(tr.ValidationError, match="cover"):
             tr.classify_extended(0.551, septuple_bands)
+        with pytest.raises(tr.ValidationError, match="nan lies outside"):
+            tr.classify_extended(float("nan"), septuple_bands)
 
     def test_gap_rejected(self, generic_weights):
         bounds = tr.compute_bounds(generic_weights)
@@ -303,6 +307,7 @@ class TestInterpretation:
     def test_delta_is_configurable(self, generic_weights):
         ev = tr.evaluate(tr.CategoryMassVector(0.9, 0.6, 0.15), generic_weights)
         assert not tr.interpret_strength(ev, 0.6, delta=0.01).fair_consistent
+        assert tr.interpret_strength(ev, 0.6, delta=0.0).delta == 0.0
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,19 @@ class TestEvaluate:
         assert code == 1
         assert "weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.1"])
+    def test_bad_delta_rejected(self, delta, capsys):
+        code = main(
+            ["evaluate", "--catalog", CATALOG, "--assessment", USA,
+             "--weights", "0.40,0.20,0.40", "--delta", delta, "--format", "json"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: evaluation: delta must be finite and non-negative, got {float(delta)}\n"
+        )
+
     def test_json_round_trips_report(self, capsys, catalog, usa_assessment):
         main(["evaluate", "--catalog", CATALOG, "--assessment", USA,
               "--weights", "0.40,0.20,0.40", "--format", "json"])
@@ -254,7 +267,7 @@ class TestDeterminism:
         argv = command[:1] + ["--catalog", CATALOG, "--assessment", USA,
                               "--weights", "0.30,0.30,0.40"] + command[1:]
         outputs = []
-        for signs in (["--signs", "-,-,+"], ["--signs=-,-,+"]):
+        for signs in (["--signs", "-,-,+"], ["--signs=-,-,+"], ["--sig", "-,-,+"]):
             assert main(argv + signs) == 0
             outputs.append(capsys.readouterr().out.encode())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -543,3 +543,124 @@ def test_one_scan_matches_separate_aggregate_and_validate(assessment, mode):
     got = _outcome(lambda: store.evaluate_relation("AAA", "BBB", assessment, CATALOG, weights,
                                                    mode=mode).evaluation)
     assert got == _outcome(lambda: _reference_evaluate_relation(assessment, CATALOG, mode, weights))
+
+
+# --- the pair-keyed store against the flat scan it replaced ------------------
+
+class _FlatStore:
+    """The store's former index: one map keyed (subject, object, start, end),
+    queried by scanning every record (methods copied from the old store)."""
+
+    def __init__(self, nations):
+        self._nations = {nation.id: nation for nation in nations}
+        self._records = {}
+
+    def put(self, record):
+        key = (record.subject, record.object, record.window.start, record.window.end)
+        self._records[key] = record
+
+    def nation(self, nation_id):
+        found = self._nations.get(nation_id)
+        if found is None:
+            raise tr.ValidationError(f"nation {nation_id!r} is not registered")
+        return found
+
+    def query_relation(self, subject, object, window):
+        self.nation(subject)
+        self.nation(object)
+        if subject == object:
+            return self._self_record(subject, window)
+        records = self._records
+        containing = []
+        overlapping = []
+        for record in records.values():
+            if record.subject != subject or record.object != object:
+                continue
+            if record.window.contains(window):
+                containing.append(record)
+            elif record.window.overlaps(window):
+                overlapping.append(record)
+        if containing:
+            containing.sort(key=lambda r: (r.window.end - r.window.start, r.window.start))
+            return containing[0]
+        near = tuple(
+            f"{record.subject}->{record.object}@{record.window}"
+            for record in sorted(overlapping, key=lambda r: r.window.start)
+        )
+        return tr.RelationRecord(subject=subject, object=object, window=window, near_misses=near)
+
+    def relation_matrix(self, nation_ids, window):
+        for nation_id in nation_ids:
+            self.nation(nation_id)
+        return [
+            [self.query_relation(row, col, window).label for col in nation_ids]
+            for row in nation_ids
+        ]
+
+    @staticmethod
+    def _self_record(nation_id, window):
+        weights = tr.WeightVector(0.0, 0.0, 1.0)
+        evaluation = tr.evaluate(tr.CategoryMassVector(0.0, 0.0, 1.0), weights, tr.DEFAULT_SIGNS)
+        return tr.RelationRecord(
+            subject=nation_id,
+            object=nation_id,
+            window=window,
+            evaluation=evaluation,
+            weights=weights,
+            signs=tr.DEFAULT_SIGNS,
+            assessment_ref="synthesized self-relation",
+        )
+
+
+# Five dates 100 days apart: drawn windows share starts, nest, overlap
+# and repeat, so replacements and near-miss ties are common.
+INDEX_DATES = [dt.date(2000, 1, 1) + dt.timedelta(days=100 * k) for k in range(5)]
+INDEX_WINDOWS = [tr.DateWindow(a, b) for a in INDEX_DATES for b in INDEX_DATES if a <= b]
+
+
+@st.composite
+def store_writes(draw):
+    """Three or four nations and up to twelve ``evaluate_relation`` writes,
+    each with one property value and its own weights."""
+    ids = ["AAA", "BBB", "CCC", "DDD"][:draw(st.integers(3, 4))]
+    writes = []
+    for _ in range(draw(st.integers(0, 12))):
+        subject, object = draw(st.permutations(ids))[:2]
+        pid = draw(st.sampled_from(PROPERTY_IDS))
+        entry = tr.AssessmentEntry(pid, draw(st.floats(0.0, CATALOG.by_id[pid].cap)))
+        window = draw(st.sampled_from(INDEX_WINDOWS))
+        writes.append((tr.Assessment(subject, object, window, (entry,)), draw(weight_vectors())))
+    return ids, writes
+
+
+@given(store_writes())
+@settings(max_examples=300, deadline=None)
+def test_pair_index_answers_like_the_flat_scan(case):
+    ids, writes = case
+    store = tr.RelationStore()
+    for nation_id in ids:
+        store.register_nation(tr.Nation(nation_id))
+    flat = _FlatStore(store.nations)
+    for assessment, weights in writes:
+        flat.put(store.evaluate_relation(assessment.subject, assessment.object,
+                                         assessment, CATALOG, weights))
+    # ``records`` and so ``save`` list records in the flat map's key order,
+    # and a load inserts them in that order
+    flat_loaded = _FlatStore(store.nations)
+    for key in sorted(flat._records):
+        flat_loaded.put(flat._records[key])
+    assert store.records == tuple(flat_loaded._records.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "store.json"
+        store.save(path)
+        loaded = tr.RelationStore.load(path)
+    matrix_ids = ids + ["ZZZ"] if len(writes) % 2 else ids  # an unregistered id fails alike
+    for got, flat in ((store, flat), (loaded, flat_loaded)):
+        for window in INDEX_WINDOWS:
+            for subject in ids:
+                for object in ids:  # both directions and the diagonal
+                    # records compare their near_misses tuples as well
+                    assert got.query_relation(subject, object, window) == \
+                        flat.query_relation(subject, object, window)
+            assert _outcome(lambda: got.relation_matrix(matrix_ids, window)) == \
+                _outcome(lambda: flat.relation_matrix(matrix_ids, window))
