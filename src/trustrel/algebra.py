@@ -183,17 +183,23 @@ def compute_bounds(
     Raises ValidationError when the sign/weight combination is
     degenerate (empty middle band, or a band escaping the scale).
     """
-    signed_friendly = signs.friendly * weights.friendly
-    signed = (signs.hostile * weights.hostile, signs.neutral * weights.neutral, signed_friendly)
-    # sum() keeps the int 0 of an empty side, which JSON prints as 0
-    lower = sum([v for v in signed if v < 0.0])
-    upper = sum([v for v in signed if v > 0.0])
-    middle_low = lower + weights.hostile
-    middle_high = upper - signed_friendly
     try:
-        return ScalarBounds(lower, upper, middle_low, middle_high)
+        return ScalarBounds(*_bounds(weights.hostile, weights.neutral, weights.friendly, signs))
     except ValidationError as err:
         raise ValidationError(f"degenerate sign/weight combination: {err}") from None
+
+
+def _bounds(
+    hostile: float, neutral: float, friendly: float, signs: ScalarConfig
+) -> tuple[float, float, float, float]:
+    """``compute_bounds``'s lower, upper and middle band, unchecked."""
+    signed_friendly = signs.friendly * friendly
+    signed = (signs.hostile * hostile, signs.neutral * neutral, signed_friendly)
+    # sum() keeps the int 0 of an empty side, which JSON prints as 0; from
+    # Python 3.12 it also sums floats compensated, unlike a chain of +
+    lower = sum([v for v in signed if v < 0.0])
+    upper = sum([v for v in signed if v > 0.0])
+    return lower, upper, lower + hostile, upper - signed_friendly
 
 
 def compute_trust_mass(

@@ -99,8 +99,7 @@ class RelationStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._nations: dict[str, Nation] = {}
-        # (subject, object) -> that pair's records by window; near misses
-        # that share a start are listed in this map's insertion order
+        # (subject, object) -> that pair's records by window
         self._records: dict[tuple[str, str], dict[DateWindow, RelationRecord]] = {}
 
     # -- registry -------------------------------------------------------
@@ -210,7 +209,7 @@ class RelationStore:
             return windows[min(containing, key=lambda w: (w.end - w.start, w.start))]
         near = tuple(
             f"{subject}->{object}@{w}"
-            for w in sorted((w for w in windows if w.overlaps(window)), key=lambda w: w.start)
+            for w in sorted((w for w in windows if w.overlaps(window)), key=lambda w: (w.start, w.end))
         )
         return RelationRecord(subject=subject, object=object, window=window, near_misses=near)
 

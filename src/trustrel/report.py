@@ -29,10 +29,7 @@ from .algebra import (
     ScalarConfig,
     StrengthInterpretation,
     WeightVector,
-    classify,
-    compute_bounds,
-    compute_strength,
-    compute_trust_mass,
+    _bounds,
     evaluate,
     interpret_strength,
 )
@@ -46,6 +43,7 @@ from .catalog import (
     _require,
     _total_breach,
     aggregate_masses,
+    replace_entry_value,
 )
 from .errors import ValidationError
 
@@ -353,28 +351,93 @@ def run_whatif(
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
     reported as the flip point.  What the grid leaves fixed is computed
-    once; each row, and the error of an invalid point, is bit for bit
-    that of evaluating the point alone.
+    once.  Each point is computed on plain floats by the operations and
+    checks of the value types that evaluating it alone would build, so
+    each row is bit for bit that evaluation's.  A point that fails a
+    check is evaluated alone, which raises its error.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
-    if spec.target_kind == "weight":
+    masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
+    w = [weights.hostile, weights.neutral, weights.friendly]
+    sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
+    b = base.bounds
+    lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
+    sweep_weight = spec.target_kind == "weight"
+    if sweep_weight:
         category = spec.target_category()
+        index = CATEGORIES.index(category)
+        others = w[:index] + w[index + 1:]
+        other_sum = others[0] + others[1]
     else:
-        masses_at = _property_masses(catalog, assessment, spec.target, mode, base_masses)
+        # the swept category adds the entries before the swept one, the
+        # value, then the entries after it, as aggregate_masses does
+        position = _entry_index(assessment, spec.target)
+        prop = catalog.by_id[spec.target]
+        index = CATEGORIES.index(prop.category)
+        prefix, tail = 0.0, []
+        for i, entry in enumerate(assessment.entries):
+            if catalog.by_id[entry.property_id].category is prop.category:
+                if i < position:
+                    prefix += entry.value
+                elif i > position:
+                    tail.append(entry.value)
     rows = []
     first_flip = None
     for value in spec.values():
-        if spec.target_kind == "weight":
-            point_weights = reweight(weights, category, value)
-            point_bounds, point_masses = compute_bounds(point_weights, signs), base_masses
+        if sweep_weight:  # reweight, WeightVector, compute_bounds, ScalarBounds
+            remainder = 1.0 - value
+            if other_sum <= 0.0:
+                w = [0.0, 0.0]
+            else:
+                scale = remainder / other_sum
+                w = [others[0] * scale, others[1] * scale]
+            w.insert(index, value)
+            valid = (
+                (other_sum > 0.0 or abs(remainder) <= TOLERANCE)
+                and 0.0 <= w[0] <= 1.0 and 0.0 <= w[1] <= 1.0 and 0.0 <= w[2] <= 1.0
+                and abs(w[0] + w[1] + w[2] - 1.0) <= TOLERANCE
+            )
+            if valid:
+                lower, upper, band_low, band_high = _bounds(w[0], w[1], w[2], signs)
+                valid = (
+                    lower <= band_low + TOLERANCE
+                    and band_low <= band_high + TOLERANCE
+                    and band_high <= upper + TOLERANCE
+                    and abs((upper - lower) - 1.0) <= TOLERANCE
+                )
+        else:  # the other entries passed their checks in base_masses
+            total = prefix + value
+            for later in tail:
+                total += later
+            masses[index] = total
+            valid = (
+                0.0 <= value <= 1.0
+                and not _cap_breach(prop, value, mode)
+                and not _total_breach(prop.category, total)
+                and -TOLERANCE <= total <= 1.0 + TOLERANCE
+            )
+        if valid:  # compute_trust_mass, compute_strength, classify, TrustEvaluation
+            trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
+            strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
+            valid = (
+                lower - TOLERANCE <= trust_mass <= upper + TOLERANCE
+                and -TOLERANCE <= strength <= 1.0 + TOLERANCE
+            )
+        if valid:
+            if trust_mass < band_low:
+                label = RelationCategory.HOSTILE
+            elif trust_mass <= band_high:
+                label = RelationCategory.NEUTRAL
+            else:
+                label = RelationCategory.FRIENDLY
         else:
-            point_weights, point_bounds, point_masses = weights, base.bounds, masses_at(value)
-        trust_mass = compute_trust_mass(point_masses, point_weights, signs)
-        strength = compute_strength(point_masses, point_weights)
-        label = classify(trust_mass, point_bounds)
-        if not -TOLERANCE <= strength <= 1.0 + TOLERANCE:  # as TrustEvaluation checks it
-            raise ValidationError(f"strength must lie in [0, 1], got {strength}")
+            if sweep_weight:
+                point = evaluate(base_masses, reweight(weights, category, value), signs)
+            else:
+                swept = replace_entry_value(assessment, spec.target, value)
+                point = evaluate(aggregate_masses(swept, catalog, mode=mode), weights, signs)
+            trust_mass, strength, label = point.trust_mass, point.strength, point.label
         flipped = label is not base.label
         if flipped and first_flip is None:
             first_flip = value
@@ -386,40 +449,6 @@ def run_whatif(
         rows=tuple(rows),
         first_flip=first_flip,
     )
-
-
-def _property_masses(catalog, assessment, property_id, mode, base_masses):
-    """Masses as a function of one entry's value, bit for bit those of
-    ``aggregate_masses(replace_entry_value(...))``: the swept category
-    adds the entries before it, the value, then the entries after it.
-    The other entries passed their checks in ``base_masses``, so only
-    the value's range, its cap and its category's total can fail.
-    """
-    index = _entry_index(assessment, property_id)
-    prop = catalog.by_id[property_id]
-    prefix, tail = 0.0, []
-    for i, entry in enumerate(assessment.entries):
-        if catalog.by_id[entry.property_id].category is prop.category:
-            if i < index:
-                prefix += entry.value
-            elif i > index:
-                tail.append(entry.value)
-    name, fixed = prop.category.value, base_masses.as_dict()
-
-    def masses_at(value: float) -> CategoryMassVector:
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(
-                f"observed value for {property_id!r} must lie in [0, 1], got {value}"
-            )
-        total = prefix + value
-        for later in tail:
-            total += later
-        breach = _cap_breach(prop, value, mode) or _total_breach(prop.category, total)
-        if breach:
-            raise ValidationError(breach)
-        return CategoryMassVector(**{**fixed, name: total})
-
-    return masses_at
 
 
 # --- band table documents ----------------------------------------------------

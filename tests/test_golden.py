@@ -3,8 +3,10 @@
 The files under ``tests/golden/`` hold the stdout (for failing calls,
 the stderr) of ``trustrel whatif`` and ``trustrel evaluate``
 as written by the per-point sweep of commit a05d4f1, before the sweep
-loop was hoisted.  Any change to a single printed digit, row or error
-message fails here.  Regenerate only for an intended output change:
+loop was hoisted; the ``cannot_renormalize`` files were written by
+commit 3f06407, before sweep points moved to plain floats.  Any change
+to a single printed digit, row or error message fails here.  Regenerate
+only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -66,6 +68,11 @@ CASES = {
         ["whatif", "--catalog", CATALOG, "--assessment", USA,
          "--weights", "0.5,0.5,0", "--signs=-,+,-",
          "--target", "weight:friendly", "--sweep", "0:0.3:0.1"], 1),
+    # the other two weights are both zero, so they cannot absorb 1 - 0.75
+    "whatif_usa_weight_hostile_cannot_renormalize": (
+        ["whatif", "--catalog", CATALOG, "--assessment", USA,
+         "--weights", "1,0,0",
+         "--target", "weight:hostile", "--sweep", "1:0.5:0.25"], 1),
     # an infinite step is rejected before any grid point is evaluated
     "whatif_usa_property_f.P1_infinite_step": (
         ["whatif", "--catalog", CATALOG, "--assessment", USA,

@@ -6,6 +6,7 @@ import pathlib
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import trustrel as tr
@@ -285,6 +286,35 @@ def test_whatif_equals_per_point_evaluation(case, weights, signs, mode, sweep_we
     if isinstance(want, tr.SweepResult):
         # == treats 0.0 and -0.0 alike; the rendering does not
         assert got.to_json() == want.to_json()
+
+
+# Category masses of exactly 1 + TOLERANCE (free mode) under weights that
+# sum to within TOLERANCE of 1 pass every check of a point but the one
+# named; the drawn cases above do not reach these two.  The swept f.P2
+# moves from 0 (the valid base) to 1e-9, so the friendly mass reaches
+# 1 + TOLERANCE.
+EDGE_POINTS = {
+    "strength": (
+        [("h.P1", 1.0), ("n.P1", 1.0), ("f.P1", 1.0), ("f.P2", 0.0)],
+        tr.WeightVector(0.3, 0.3, 0.4 + 9e-10), tr.DEFAULT_SIGNS,
+        "strength must lie in [0, 1], got 1.0000000013",
+    ),
+    "outside_scale": (
+        [("n.P1", 1.0), ("n.P2", 1e-9), ("f.P1", 1.0), ("f.P2", 0.0)],
+        tr.WeightVector(0.0, 0.08, 1.0 - 0.08 - 9e-10), tr.ScalarConfig(1, 1, 1),
+        "trust mass 1.0000000001000002 lies outside the scale [0, 0.9999999991]",
+    ),
+}
+
+
+@pytest.mark.parametrize("entries, weights, signs, message", EDGE_POINTS.values(), ids=EDGE_POINTS)
+def test_whatif_fails_at_a_point_past_only_its_last_check(entries, weights, signs, message):
+    entries = tuple(tr.AssessmentEntry(pid, value) for pid, value in entries)
+    assessment = tr.Assessment("AAA", "BBB", WINDOW, entries)
+    spec = tr.SensitivitySpec("property", "f.P2", 0.0, 1e-9, 1e-9)
+    args = (CATALOG, assessment, weights, spec, signs, "free")
+    assert _outcome(lambda: _reference_whatif(*args)) == (tr.ValidationError, message)
+    assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
 
 
 def _enum_keyed_bounds(weights, signs):
@@ -585,7 +615,7 @@ class _FlatStore:
             return containing[0]
         near = tuple(
             f"{record.subject}->{record.object}@{record.window}"
-            for record in sorted(overlapping, key=lambda r: r.window.start)
+            for record in sorted(overlapping, key=lambda r: (r.window.start, r.window.end))
         )
         return tr.RelationRecord(subject=subject, object=object, window=window, near_misses=near)
 
@@ -644,23 +674,21 @@ def test_pair_index_answers_like_the_flat_scan(case):
     for assessment, weights in writes:
         flat.put(store.evaluate_relation(assessment.subject, assessment.object,
                                          assessment, CATALOG, weights))
-    # ``records`` and so ``save`` list records in the flat map's key order,
-    # and a load inserts them in that order
-    flat_loaded = _FlatStore(store.nations)
-    for key in sorted(flat._records):
-        flat_loaded.put(flat._records[key])
-    assert store.records == tuple(flat_loaded._records.values())
+    # ``records`` and so ``save`` list records in the flat map's key order
+    assert store.records == tuple(flat._records[key] for key in sorted(flat._records))
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "store.json"
         store.save(path)
         loaded = tr.RelationStore.load(path)
     matrix_ids = ids + ["ZZZ"] if len(writes) % 2 else ids  # an unregistered id fails alike
-    for got, flat in ((store, flat), (loaded, flat_loaded)):
-        for window in INDEX_WINDOWS:
-            for subject in ids:
-                for object in ids:  # both directions and the diagonal
-                    # records compare their near_misses tuples as well
-                    assert got.query_relation(subject, object, window) == \
-                        flat.query_relation(subject, object, window)
-            assert _outcome(lambda: got.relation_matrix(matrix_ids, window)) == \
-                _outcome(lambda: flat.relation_matrix(matrix_ids, window))
+    for window in INDEX_WINDOWS:
+        for subject in ids:
+            for object in ids:  # both directions and the diagonal
+                # records compare their near_misses tuples as well, so the
+                # loaded store answers exactly like the one it was saved from
+                want = flat.query_relation(subject, object, window)
+                assert store.query_relation(subject, object, window) == want
+                assert loaded.query_relation(subject, object, window) == want
+        want = _outcome(lambda: flat.relation_matrix(matrix_ids, window))
+        assert _outcome(lambda: store.relation_matrix(matrix_ids, window)) == want
+        assert _outcome(lambda: loaded.relation_matrix(matrix_ids, window)) == want

@@ -122,6 +122,25 @@ class TestQueryRelation:
         assert len(record.near_misses) == 1
         assert "USA->GBR" in record.near_misses[0]
 
+    def test_same_start_near_misses_keep_their_order_after_save_and_load(
+        self, store, catalog, tmp_path
+    ):
+        # written long window first: insertion order would list it first
+        for end in (dt.date(2000, 4, 10), dt.date(2000, 1, 1)):
+            window = tr.DateWindow(dt.date(2000, 1, 1), end)
+            store.evaluate_relation(
+                "USA", "GBR", empty_assessment("USA", "GBR", window), catalog, CASE_WEIGHTS
+            )
+        query = tr.DateWindow(dt.date(2000, 1, 1), dt.date(2000, 7, 19))
+        near = store.query_relation("USA", "GBR", query).near_misses
+        assert near == (
+            "USA->GBR@2000-01-01..2000-01-01",
+            "USA->GBR@2000-01-01..2000-04-10",
+        )
+        store.save(tmp_path / "store.json")
+        loaded = tr.RelationStore.load(tmp_path / "store.json")
+        assert loaded.query_relation("USA", "GBR", query).near_misses == near
+
     def test_narrowest_containing_window_wins(self, store, catalog):
         wide = tr.DateWindow(dt.date(2000, 1, 1), dt.date(2009, 12, 31))
         store.evaluate_relation(
