@@ -70,19 +70,22 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for name, weight in self._items():
-            if not 0.0 <= weight <= 1.0:
-                raise ValidationError(
-                    f"{name} weight must lie in [0, 1], got {weight}"
-                )
-        total = self.hostile + self.neutral + self.friendly
-        if abs(total - 1.0) > TOLERANCE:
-            raise ValidationError(f"weights must sum to 1, got {total}")
+        _check_weights(self.hostile, self.neutral, self.friendly)
 
     @classmethod
     def uniform(cls) -> "WeightVector":
         """Equal emphasis on all three categories."""
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+
+def _check_weights(hostile: float, neutral: float, friendly: float) -> None:
+    """``WeightVector``'s check: each weight in [0, 1], summing to 1."""
+    for name, weight in (("hostile", hostile), ("neutral", neutral), ("friendly", friendly)):
+        if not 0.0 <= weight <= 1.0:
+            raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
+    total = hostile + neutral + friendly
+    if abs(total - 1.0) > TOLERANCE:
+        raise ValidationError(f"weights must sum to 1, got {total}")
 
 
 def validate_weights(hostile: float, neutral: float, friendly: float) -> WeightVector:
@@ -127,20 +130,7 @@ class ScalarBounds:
     middle_band_high: float
 
     def __post_init__(self) -> None:
-        ordered = (
-            self.lower <= self.middle_band_low + TOLERANCE
-            and self.middle_band_low <= self.middle_band_high + TOLERANCE
-            and self.middle_band_high <= self.upper + TOLERANCE
-        )
-        if not ordered:
-            raise ValidationError(
-                "bounds must satisfy lower <= middle_band_low <= "
-                f"middle_band_high <= upper, got {self}"
-            )
-        if abs((self.upper - self.lower) - 1.0) > TOLERANCE:
-            raise ValidationError(
-                f"interval scale must have total width 1, got {self.upper - self.lower}"
-            )
+        _check_scale(self.lower, self.upper, self.middle_band_low, self.middle_band_high)
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -183,23 +173,42 @@ def compute_bounds(
     Raises ValidationError when the sign/weight combination is
     degenerate (empty middle band, or a band escaping the scale).
     """
-    try:
-        return ScalarBounds(*_bounds(weights.hostile, weights.neutral, weights.friendly, signs))
-    except ValidationError as err:
-        raise ValidationError(f"degenerate sign/weight combination: {err}") from None
+    return ScalarBounds(*_bounds(weights.hostile, weights.neutral, weights.friendly, signs))
 
 
 def _bounds(
     hostile: float, neutral: float, friendly: float, signs: ScalarConfig
 ) -> tuple[float, float, float, float]:
-    """``compute_bounds``'s lower, upper and middle band, unchecked."""
+    """``compute_bounds``' lower, upper and middle band, with its checks."""
     signed_friendly = signs.friendly * friendly
     signed = (signs.hostile * hostile, signs.neutral * neutral, signed_friendly)
     # sum() keeps the int 0 of an empty side, which JSON prints as 0; from
     # Python 3.12 it also sums floats compensated, unlike a chain of +
     lower = sum([v for v in signed if v < 0.0])
     upper = sum([v for v in signed if v > 0.0])
-    return lower, upper, lower + hostile, upper - signed_friendly
+    band_low, band_high = lower + hostile, upper - signed_friendly
+    try:
+        _check_scale(lower, upper, band_low, band_high)
+    except ValidationError as err:
+        raise ValidationError(f"degenerate sign/weight combination: {err}") from None
+    return lower, upper, band_low, band_high
+
+
+def _check_scale(lower: float, upper: float, band_low: float, band_high: float) -> None:
+    """``ScalarBounds``' check: ordered edges on a scale of total width 1."""
+    ordered = (
+        lower <= band_low + TOLERANCE
+        and band_low <= band_high + TOLERANCE
+        and band_high <= upper + TOLERANCE
+    )
+    if not ordered:
+        raise ValidationError(
+            "bounds must satisfy lower <= middle_band_low <= middle_band_high <= upper, "
+            f"got ScalarBounds(lower={lower!r}, upper={upper!r}, "
+            f"middle_band_low={band_low!r}, middle_band_high={band_high!r})"
+        )
+    if abs((upper - lower) - 1.0) > TOLERANCE:
+        raise ValidationError(f"interval scale must have total width 1, got {upper - lower}")
 
 
 def compute_trust_mass(
@@ -235,14 +244,20 @@ def classify(trust_mass: float, bounds: ScalarBounds) -> RelationCategory:
     A score outside [lower, upper] (beyond tolerance) signals
     inconsistent inputs and is rejected.
     """
-    if not bounds.lower - TOLERANCE <= trust_mass <= bounds.upper + TOLERANCE:
-        raise ValidationError(
-            f"trust mass {trust_mass} lies outside the scale "
-            f"[{bounds.lower}, {bounds.upper}]"
-        )
-    if trust_mass < bounds.middle_band_low:
+    return _classify(
+        trust_mass, bounds.lower, bounds.upper, bounds.middle_band_low, bounds.middle_band_high
+    )
+
+
+def _classify(
+    trust_mass: float, lower: float, upper: float, band_low: float, band_high: float
+) -> RelationCategory:
+    """``classify`` on the scale's four edges."""
+    if not lower - TOLERANCE <= trust_mass <= upper + TOLERANCE:
+        raise ValidationError(f"trust mass {trust_mass} lies outside the scale [{lower}, {upper}]")
+    if trust_mass < band_low:
         return RelationCategory.HOSTILE
-    if trust_mass <= bounds.middle_band_high:
+    if trust_mass <= band_high:
         return RelationCategory.NEUTRAL
     return RelationCategory.FRIENDLY
 
@@ -345,8 +360,13 @@ class TrustEvaluation:
                 f"trust mass {self.trust_mass} outside "
                 f"[{self.bounds.lower}, {self.bounds.upper}]"
             )
-        if not -TOLERANCE <= self.strength <= 1.0 + TOLERANCE:
-            raise ValidationError(f"strength must lie in [0, 1], got {self.strength}")
+        _check_strength(self.strength)
+
+
+def _check_strength(strength: float) -> None:
+    """``TrustEvaluation``'s strength check."""
+    if not -TOLERANCE <= strength <= 1.0 + TOLERANCE:
+        raise ValidationError(f"strength must lie in [0, 1], got {strength}")
 
 
 def evaluate(

@@ -311,10 +311,14 @@ def _parse_category(raw: str, where: str) -> RelationCategory:
 
 
 def _parse_date(raw: str, where: str) -> date:
+    # YYYY-MM-DD only, as on Python 3.10: from 3.11 fromisoformat also
+    # takes 20010101 and week dates such as 2001-W01-1
     try:
-        return date.fromisoformat(raw)
+        if len(raw) == 10 and raw[4] == raw[7] == "-":
+            return date.fromisoformat(raw)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected an ISO-8601 date, got {raw!r}") from None
+        pass
+    raise SchemaError(f"{where}: expected an ISO-8601 date, got {raw!r}")
 
 
 def catalog_from_dict(doc: dict) -> PropertyCatalog:

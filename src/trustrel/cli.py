@@ -85,7 +85,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not args.catalog and not args.assessment:
         raise SchemaError("nothing to validate: pass --catalog and/or --assessment")
     failures = 0
-    catalog = None
+    catalog = None if args.catalog else default_catalog()
     if args.catalog:
         try:
             catalog = load_catalog(args.catalog)
@@ -95,8 +95,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             failures += 1
     if args.assessment:
         assessment = _stage("assessment", load_assessment, args.assessment)
-        reference = catalog if catalog is not None else default_catalog()
-        report = validate_assessment(assessment, reference, mode=args.cap_mode)
+        if catalog is None:  # never check against a catalog the user did not name
+            print(f"assessment {args.assessment}: NOT CHECKED (catalog {args.catalog} is invalid)")
+            return EXIT_INVALID
+        report = validate_assessment(assessment, catalog, mode=args.cap_mode)
         for warning in report.warnings:
             print(f"warning: {warning}")
         if report.ok:

@@ -30,6 +30,9 @@ from .algebra import (
     StrengthInterpretation,
     WeightVector,
     _bounds,
+    _check_strength,
+    _check_weights,
+    _classify,
     evaluate,
     interpret_strength,
 )
@@ -43,7 +46,6 @@ from .catalog import (
     _require,
     _total_breach,
     aggregate_masses,
-    replace_entry_value,
 )
 from .errors import ValidationError
 
@@ -323,19 +325,25 @@ def reweight(
     index = CATEGORIES.index(category)
     others = [weights.hostile, weights.neutral, weights.friendly]
     del others[index]
+    return WeightVector(*_reweight(others, index, value))
+
+
+def _reweight(others: list[float], index: int, value: float) -> list[float]:
+    """``reweight`` on floats: ``others`` are the weights besides the one
+    at ``index``, which becomes ``value``."""
     other_sum = others[0] + others[1]
     remainder = 1.0 - value
     if other_sum <= 0.0:
         if abs(remainder) > TOLERANCE:
             raise ValidationError(
-                f"cannot renormalize: weights other than {category} are both zero"
+                f"cannot renormalize: weights other than {CATEGORIES[index]} are both zero"
             )
         scaled = [0.0, 0.0]
     else:
         scale = remainder / other_sum
         scaled = [others[0] * scale, others[1] * scale]
     scaled.insert(index, value)
-    return WeightVector(*scaled)
+    return scaled
 
 
 def run_whatif(
@@ -351,10 +359,11 @@ def run_whatif(
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
     reported as the flip point.  What the grid leaves fixed is computed
-    once.  Each point is computed on plain floats by the operations and
-    checks of the value types that evaluating it alone would build, so
-    each row is bit for bit that evaluation's.  A point that fails a
-    check is evaluated alone, which raises its error.
+    once.  Each point is computed on plain floats by the operations that
+    evaluating it alone performs, so each row is bit for bit that
+    evaluation's, and is checked by the same functions that the value
+    types and ``reweight`` call.  The sweep stops at its first failing
+    grid point, with the error that evaluating that point alone raises.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
@@ -365,10 +374,8 @@ def run_whatif(
     lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
     sweep_weight = spec.target_kind == "weight"
     if sweep_weight:
-        category = spec.target_category()
-        index = CATEGORIES.index(category)
+        index = CATEGORIES.index(spec.target_category())
         others = w[:index] + w[index + 1:]
-        other_sum = others[0] + others[1]
     else:
         # the swept category adds the entries before the swept one, the
         # value, then the entries after it, as aggregate_masses does
@@ -385,59 +392,25 @@ def run_whatif(
     rows = []
     first_flip = None
     for value in spec.values():
-        if sweep_weight:  # reweight, WeightVector, compute_bounds, ScalarBounds
-            remainder = 1.0 - value
-            if other_sum <= 0.0:
-                w = [0.0, 0.0]
-            else:
-                scale = remainder / other_sum
-                w = [others[0] * scale, others[1] * scale]
-            w.insert(index, value)
-            valid = (
-                (other_sum > 0.0 or abs(remainder) <= TOLERANCE)
-                and 0.0 <= w[0] <= 1.0 and 0.0 <= w[1] <= 1.0 and 0.0 <= w[2] <= 1.0
-                and abs(w[0] + w[1] + w[2] - 1.0) <= TOLERANCE
-            )
-            if valid:
-                lower, upper, band_low, band_high = _bounds(w[0], w[1], w[2], signs)
-                valid = (
-                    lower <= band_low + TOLERANCE
-                    and band_low <= band_high + TOLERANCE
-                    and band_high <= upper + TOLERANCE
-                    and abs((upper - lower) - 1.0) <= TOLERANCE
-                )
+        if sweep_weight:  # reweight, WeightVector, compute_bounds
+            w = _reweight(others, index, value)
+            _check_weights(*w)
+            lower, upper, band_low, band_high = _bounds(*w, signs)
         else:  # the other entries passed their checks in base_masses
             total = prefix + value
             for later in tail:
                 total += later
+            # no observed-value range check: SensitivitySpec.values() clamps to [0, 1]
+            breach = _cap_breach(prop, value, mode) or _total_breach(prop.category, total)
+            if breach:
+                raise ValidationError(breach)
+            # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
             masses[index] = total
-            valid = (
-                0.0 <= value <= 1.0
-                and not _cap_breach(prop, value, mode)
-                and not _total_breach(prop.category, total)
-                and -TOLERANCE <= total <= 1.0 + TOLERANCE
-            )
-        if valid:  # compute_trust_mass, compute_strength, classify, TrustEvaluation
-            trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
-            strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
-            valid = (
-                lower - TOLERANCE <= trust_mass <= upper + TOLERANCE
-                and -TOLERANCE <= strength <= 1.0 + TOLERANCE
-            )
-        if valid:
-            if trust_mass < band_low:
-                label = RelationCategory.HOSTILE
-            elif trust_mass <= band_high:
-                label = RelationCategory.NEUTRAL
-            else:
-                label = RelationCategory.FRIENDLY
-        else:
-            if sweep_weight:
-                point = evaluate(base_masses, reweight(weights, category, value), signs)
-            else:
-                swept = replace_entry_value(assessment, spec.target, value)
-                point = evaluate(aggregate_masses(swept, catalog, mode=mode), weights, signs)
-            trust_mass, strength, label = point.trust_mass, point.strength, point.label
+        # compute_trust_mass, compute_strength, classify, TrustEvaluation
+        trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
+        strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
+        label = _classify(trust_mass, lower, upper, band_low, band_high)
+        _check_strength(strength)
         flipped = label is not base.label
         if flipped and first_flip is None:
             first_flip = value

@@ -204,6 +204,17 @@ class TestDocuments:
         with pytest.raises(tr.SchemaError, match="ISO-8601"):
             tr.assessment_from_dict(doc)
 
+    @pytest.mark.parametrize("raw", ["20010101", "2001-W01-1", "2001W011"])
+    def test_only_yyyy_mm_dd_dates_parse_on_every_python(self, raw):
+        doc = {
+            "subject": "A", "object": "B",
+            "window": {"start": raw, "end": "2005-12-31"},
+            "entries": [],
+        }
+        message = f"assessment.window.start: expected an ISO-8601 date, got '{raw}'"
+        with pytest.raises(tr.SchemaError, match=message):
+            tr.assessment_from_dict(doc)
+
     def test_entry_value_bounds(self):
         with pytest.raises(tr.ValidationError):
             tr.AssessmentEntry("f.P1", 1.2)

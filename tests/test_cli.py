@@ -44,6 +44,19 @@ class TestValidate:
         assert main(["validate", "--catalog", str(path)]) == 1
         assert "hostile" in capsys.readouterr().out
 
+    def test_assessment_not_checked_against_an_invalid_catalog(self, tmp_path, capsys):
+        doc = tr.catalog_to_dict(tr.default_catalog())
+        for raw in doc["properties"]:
+            if raw["id"] == "h.P1":
+                raw["cap"] = 0.99
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--catalog", str(path), "--assessment", USA]) == 1
+        out = capsys.readouterr().out
+        assert f"catalog {path}: INVALID: hostile caps must total 1.0, got 1.49" in out
+        assert f"assessment {USA}: NOT CHECKED (catalog {path} is invalid)" in out
+        assert ": OK (" not in out
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "--catalog", "/nonexistent/cat.json"]) == 2
 

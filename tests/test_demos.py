@@ -1,4 +1,11 @@
-"""Every narrative demo runs to completion against the source tree."""
+"""Every narrative demo runs to completion against the source tree and
+prints, byte for byte, the output pinned in ``tests/golden/demo_<stem>.out``.
+
+The pinned files hold each demo's stdout as printed by commit f13d21b.
+Regenerate one only for an intended change to its output:
+
+    PYTHONPATH=src python demos/<stem>.py > tests/golden/demo_<stem>.out
+"""
 
 import os
 import pathlib
@@ -9,6 +16,7 @@ import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
 def test_all_five_demos_are_found():
@@ -23,4 +31,4 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    assert done.stdout == (GOLDEN / f"demo_{demo.stem}.out").read_text(encoding="utf-8")

@@ -317,6 +317,35 @@ def test_whatif_fails_at_a_point_past_only_its_last_check(entries, weights, sign
     assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
 
 
+# Weight sweeps of the friendly weight from 0 that the drawn cases do not
+# reliably reach: a negative friendly sign turns degenerate as soon as the
+# weight leaves 0, and a subnormal hostile weight rescales to infinity.
+WEIGHT_EDGE_POINTS = {
+    "degenerate_scale": (
+        tr.WeightVector(0.5, 0.5, 0.0), tr.ScalarConfig(-1, 1, -1),
+        "degenerate sign/weight combination: bounds must satisfy lower <= middle_band_low"
+        " <= middle_band_high <= upper, got ScalarBounds(lower=-0.55, upper=0.45,"
+        " middle_band_low=-0.10000000000000003, middle_band_high=0.55)",
+    ),
+    "weight_range": (
+        tr.WeightVector(5e-324, 0.0, 1.0), tr.DEFAULT_SIGNS,
+        "hostile weight must lie in [0, 1], got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("weights, signs, message", WEIGHT_EDGE_POINTS.values(), ids=WEIGHT_EDGE_POINTS)
+def test_weight_whatif_fails_with_the_point_alone_error(weights, signs, message):
+    entries = tuple(
+        tr.AssessmentEntry(pid, value) for pid, value in [("h.P1", 0.5), ("n.P1", 0.25), ("f.P1", 0.5)]
+    )
+    assessment = tr.Assessment("AAA", "BBB", WINDOW, entries)
+    spec = tr.SensitivitySpec("weight", "friendly", 0.0, 0.3, 0.1)
+    args = (CATALOG, assessment, weights, spec, signs, "strict")
+    assert _outcome(lambda: _reference_whatif(*args)) == (tr.ValidationError, message)
+    assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
+
+
 def _enum_keyed_bounds(weights, signs):
     signed = {c: signs[c] * weights[c] for c in tr.CATEGORIES}
     lower = sum(v for v in signed.values() if v < 0.0)
