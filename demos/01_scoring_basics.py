@@ -10,7 +10,7 @@ import trustrel as tr
 
 # The observer cares equally about hostile and friendly signals and
 # only a little about neutral background noise.
-weights = tr.validate_weights(0.45, 0.10, 0.45)
+weights = tr.WeightVector(0.45, 0.10, 0.45)
 print("weights:", weights.as_dict())
 
 # Hostile evidence counts against the score; the rest counts toward it.

@@ -35,7 +35,7 @@ print(f"masses: hostile={masses.hostile}  neutral={masses.neutral}  friendly={ma
 print()
 
 # 40:20:40 emphasis, reflecting how many properties each category has.
-weights = tr.validate_weights(0.40, 0.20, 0.40)
+weights = tr.WeightVector(0.40, 0.20, 0.40)
 evaluation = tr.evaluate(masses, weights)
 print(f"trust mass = {evaluation.trust_mass:+.4f}")
 print(f"strength   = {evaluation.strength:.4f}")

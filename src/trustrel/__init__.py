@@ -29,7 +29,6 @@ from .algebra import (
     compute_trust_mass,
     evaluate,
     interpret_strength,
-    validate_weights,
 )
 from .catalog import (
     Assessment,
@@ -122,5 +121,4 @@ __all__ = [
     "save_assessment",
     "save_catalog",
     "validate_assessment",
-    "validate_weights",
 ]

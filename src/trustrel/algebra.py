@@ -47,18 +47,18 @@ CATEGORIES = (
 )
 
 
-class _PerCategory:
+class _Fields:
+    """Mixin for value types whose dict form is their fields, in order."""
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
+
+
+class _PerCategory(_Fields):
     """Mixin for value containers with one field per relation category."""
 
     def __getitem__(self, category: RelationCategory) -> float:
         return getattr(self, category.value)
-
-    def _items(self) -> tuple[tuple[str, float], ...]:
-        """(category name, value) pairs in canonical order."""
-        return (("hostile", self.hostile), ("neutral", self.neutral), ("friendly", self.friendly))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._items())
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,6 @@ def _check_weights(hostile: float, neutral: float, friendly: float) -> None:
         raise ValidationError(f"weights must sum to 1, got {total}")
 
 
-def validate_weights(hostile: float, neutral: float, friendly: float) -> WeightVector:
-    """Check three raw weights and return them as a WeightVector.
-
-    Rejects any weight outside [0, 1] and any triple whose sum deviates
-    from 1 by more than the shared tolerance.
-    """
-    return WeightVector(hostile, neutral, friendly)
-
-
 @dataclass(frozen=True)
 class ScalarConfig(_PerCategory):
     """Direction of each category's contribution: exactly -1 or +1."""
@@ -106,7 +97,7 @@ class ScalarConfig(_PerCategory):
     friendly: int = 1
 
     def __post_init__(self) -> None:
-        for name, sign in self._items():
+        for name, sign in vars(self).items():
             if type(sign) is not int or sign not in (-1, 1):
                 raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
 
@@ -116,7 +107,7 @@ DEFAULT_SIGNS = ScalarConfig()
 
 
 @dataclass(frozen=True)
-class ScalarBounds:
+class ScalarBounds(_Fields):
     """Interval scale a trust mass lands on, with its neutral middle band.
 
     Scores below the middle band classify hostile, scores inside it
@@ -132,14 +123,6 @@ class ScalarBounds:
     def __post_init__(self) -> None:
         _check_scale(self.lower, self.upper, self.middle_band_low, self.middle_band_high)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "middle_band_low": self.middle_band_low,
-            "middle_band_high": self.middle_band_high,
-        }
-
 
 @dataclass(frozen=True)
 class CategoryMassVector(_PerCategory):
@@ -153,7 +136,7 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for name, mass in self._items():
+        for name, mass in vars(self).items():
             if not -TOLERANCE <= mass <= 1.0 + TOLERANCE:
                 raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
 
@@ -253,13 +236,18 @@ def _classify(
     trust_mass: float, lower: float, upper: float, band_low: float, band_high: float
 ) -> RelationCategory:
     """``classify`` on the scale's four edges."""
-    if not lower - TOLERANCE <= trust_mass <= upper + TOLERANCE:
-        raise ValidationError(f"trust mass {trust_mass} lies outside the scale [{lower}, {upper}]")
+    _check_on_scale(trust_mass, lower, upper)
     if trust_mass < band_low:
         return RelationCategory.HOSTILE
     if trust_mass <= band_high:
         return RelationCategory.NEUTRAL
     return RelationCategory.FRIENDLY
+
+
+def _check_on_scale(trust_mass: float, lower: float, upper: float) -> None:
+    """``classify``'s and ``TrustEvaluation``'s check: the score lies on the scale."""
+    if not lower - TOLERANCE <= trust_mass <= upper + TOLERANCE:
+        raise ValidationError(f"trust mass {trust_mass} lies outside the scale [{lower}, {upper}]")
 
 
 @dataclass(frozen=True)
@@ -355,11 +343,7 @@ class TrustEvaluation:
     band_label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.bounds.lower - TOLERANCE <= self.trust_mass <= self.bounds.upper + TOLERANCE:
-            raise ValidationError(
-                f"trust mass {self.trust_mass} outside "
-                f"[{self.bounds.lower}, {self.bounds.upper}]"
-            )
+        _check_on_scale(self.trust_mass, self.bounds.lower, self.bounds.upper)
         _check_strength(self.strength)
 
 
@@ -400,7 +384,7 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class StrengthInterpretation:
+class StrengthInterpretation(_Fields):
     """Qualitative reading of a strength value, as independent flags.
 
     contradiction_prone
@@ -427,17 +411,6 @@ class StrengthInterpretation:
     weighted_neutral_distance: float
     raw_neutral_distance: float
     delta: float
-
-    def as_dict(self) -> dict:
-        return {
-            "contradiction_prone": self.contradiction_prone,
-            "fair_consistent": self.fair_consistent,
-            "neutral_biased": self.neutral_biased,
-            "no_hostile": self.no_hostile,
-            "weighted_neutral_distance": self.weighted_neutral_distance,
-            "raw_neutral_distance": self.raw_neutral_distance,
-            "delta": self.delta,
-        }
 
 
 def interpret_strength(

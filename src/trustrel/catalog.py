@@ -354,7 +354,7 @@ def catalog_to_dict(catalog: PropertyCatalog) -> dict:
     }
 
 
-def window_from_dict(doc: dict, where: str = "window") -> DateWindow:
+def window_from_dict(doc: dict, where: str) -> DateWindow:
     return DateWindow(
         start=_parse_date(_require(doc, "start", str, where), f"{where}.start"),
         end=_parse_date(_require(doc, "end", str, where), f"{where}.end"),
@@ -444,8 +444,13 @@ def _load_json(path: str | Path) -> dict:
         raise SchemaError(f"{path}: invalid JSON: {err}") from None
 
 
+def _dumps(doc: dict) -> str:
+    """The JSON text trustrel writes: two-space indent, sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _save_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_catalog(path: str | Path) -> PropertyCatalog:

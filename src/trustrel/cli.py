@@ -10,12 +10,13 @@ catalog).  Exit statuses: 0 success, 1 validation or domain error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import CATEGORIES, ScalarConfig, WeightVector
 from .catalog import (
     CAP_MODES,
+    _dumps,
+    catalog_to_dict,
     default_catalog,
     load_assessment,
     load_catalog,
@@ -81,6 +82,16 @@ def _stage(name: str, fn, *args, **kwargs):
         raise ValidationError(f"{name}: {err}") from None
 
 
+def _print(result, fmt: str) -> None:
+    """Print an evaluation report or a sweep result in ``fmt``."""
+    if fmt == "json":
+        print(result.to_json())
+    elif fmt == "csv":
+        print(result.to_csv(), end="")
+    else:
+        print(result.to_text())
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     if not args.catalog and not args.assessment:
         raise SchemaError("nothing to validate: pass --catalog and/or --assessment")
@@ -128,12 +139,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         mode=args.cap_mode,
         delta=args.delta,
     )
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv(), end="")
-    else:
-        print(report.to_text())
+    _print(report, args.format)
     return EXIT_OK
 
 
@@ -178,12 +184,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         signs=signs,
         mode=args.cap_mode,
     )
-    if args.format == "json":
-        print(result.to_json())
-    elif args.format == "csv":
-        print(result.to_csv(), end="")
-    else:
-        print(result.to_text())
+    _print(result, args.format)
     return EXIT_OK
 
 
@@ -208,9 +209,7 @@ def _parse_sensitivity(target: str, sweep: str) -> SensitivitySpec:
 def cmd_catalog_show(args: argparse.Namespace) -> int:
     catalog = default_catalog()
     if args.format == "json":
-        from .catalog import catalog_to_dict
-
-        print(json.dumps(catalog_to_dict(catalog), indent=2, sort_keys=True))
+        print(_dumps(catalog_to_dict(catalog)))
         return EXIT_OK
     print(f"catalog version {catalog.version}")
     for category in CATEGORIES:

@@ -76,10 +76,6 @@ class RelationRecord:
         return self.evaluation is not None
 
     @property
-    def state(self) -> str:
-        return "evaluated" if self.defined else "undefined"
-
-    @property
     def label(self) -> str:
         """Classification label, or "undefined" for unevaluated pairs."""
         return self.evaluation.label.value if self.evaluation else "undefined"

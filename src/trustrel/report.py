@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ from .algebra import (
     _check_strength,
     _check_weights,
     _classify,
+    _Fields,
     evaluate,
     interpret_strength,
 )
@@ -40,6 +40,7 @@ from .catalog import (
     Assessment,
     PropertyCatalog,
     _cap_breach,
+    _dumps,
     _entry_index,
     _load_json,
     _parse_category,
@@ -88,7 +89,7 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _dumps(self.to_dict())
 
     def to_text(self) -> str:
         """Fixed-precision rendering in pipeline order."""
@@ -186,6 +187,9 @@ def build_report(
 
 TARGET_KINDS = ("weight", "property")
 
+#: Most points one sweep grid may have: a step of 1e-5 across all of [0, 1].
+MAX_SWEEP_POINTS = 100_001
+
 
 @dataclass(frozen=True)
 class SensitivitySpec:
@@ -218,6 +222,12 @@ class SensitivitySpec:
                 raise ValidationError(
                     f"sweep endpoints must lie in [0, 1], got {value}"
                 )
+        # floor(x) + 1 <= MAX_SWEEP_POINTS exactly when x < MAX_SWEEP_POINTS,
+        # which also rejects an infinite x before floor() would overflow
+        if not self._last_index() < MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"sweep step {self.step} makes more than {MAX_SWEEP_POINTS} grid points"
+            )
 
     def target_category(self) -> RelationCategory:
         try:
@@ -230,18 +240,21 @@ class SensitivitySpec:
 
     def values(self) -> list[float]:
         """The swept grid, from start to stop inclusive."""
-        span = self.stop - self.start
-        count = int(math.floor(abs(span) / self.step + TOLERANCE))
-        direction = 1.0 if span >= 0 else -1.0
+        count = int(math.floor(self._last_index()))
+        direction = 1.0 if self.stop >= self.start else -1.0
         # clamp away float drift so grid points stay inside [0, 1]
         return [
             min(max(self.start + direction * i * self.step, 0.0), 1.0)
             for i in range(count + 1)
         ]
 
+    def _last_index(self) -> float:
+        """Index of the grid's last point, before flooring."""
+        return abs(self.stop - self.start) / self.step + TOLERANCE
+
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Fields):
     """One grid point: swept input value and the resulting evaluation."""
 
     value: float
@@ -249,15 +262,6 @@ class SweepRow:
     strength: float
     label: str
     flipped: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "trust_mass": self.trust_mass,
-            "strength": self.strength,
-            "label": self.label,
-            "flipped": self.flipped,
-        }
 
 
 @dataclass(frozen=True)
@@ -280,7 +284,7 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _dumps(self.to_dict())
 
     def to_text(self) -> str:
         p = TEXT_PRECISION

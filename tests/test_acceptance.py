@@ -26,7 +26,7 @@ PROP_TOL = 1e-9
 
 
 def test_c1_golden_reproduction_generic_example():
-    weights = tr.validate_weights(0.45, 0.10, 0.45)
+    weights = tr.WeightVector(0.45, 0.10, 0.45)
     masses = tr.CategoryMassVector(0.9, 0.6, 0.15)
     ev = tr.evaluate(masses, weights)
     assert abs(ev.trust_mass - -0.2775) <= GOLDEN_TOL
@@ -40,7 +40,7 @@ def test_c1_golden_reproduction_generic_example():
 
 
 def test_c2_case_study_reproduction(catalog, usa_assessment):
-    weights = tr.validate_weights(0.40, 0.20, 0.40)
+    weights = tr.WeightVector(0.40, 0.20, 0.40)
     masses = tr.aggregate_masses(usa_assessment, catalog)
     assert abs(masses.hostile - 0.0) <= GOLDEN_TOL
     assert abs(masses.neutral - 1.0) <= GOLDEN_TOL
@@ -156,7 +156,7 @@ def test_c4_randomized_property_suite():
             abs(sum(triple) - 1.0) <= PROP_TOL
         )
         try:
-            tr.validate_weights(*triple)
+            tr.WeightVector(*triple)
             accepted = True
         except tr.ValidationError:
             accepted = False

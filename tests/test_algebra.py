@@ -1,5 +1,7 @@
 """Unit tests for the scoring calculus."""
 
+import dataclasses
+
 import pytest
 
 import trustrel as tr
@@ -8,35 +10,35 @@ from trustrel import RelationCategory as RC
 
 class TestWeights:
     def test_accepts_generic_example(self):
-        w = tr.validate_weights(0.45, 0.10, 0.45)
+        w = tr.WeightVector(0.45, 0.10, 0.45)
         assert w.hostile == 0.45 and w.neutral == 0.10 and w.friendly == 0.45
 
     def test_accepts_case_study(self):
-        tr.validate_weights(0.40, 0.20, 0.40)
+        tr.WeightVector(0.40, 0.20, 0.40)
 
     def test_accepts_uniform(self):
-        w = tr.validate_weights(1 / 3, 1 / 3, 1 / 3)
+        w = tr.WeightVector(1 / 3, 1 / 3, 1 / 3)
         assert abs(w.hostile + w.neutral + w.friendly - 1.0) <= 1e-9
 
     def test_rejects_bad_sum(self):
         with pytest.raises(tr.ValidationError, match="sum to 1"):
-            tr.validate_weights(0.5, 0.5, 0.5)
+            tr.WeightVector(0.5, 0.5, 0.5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(tr.ValidationError, match=r"\[0, 1\]"):
-            tr.validate_weights(-0.1, 0.6, 0.5)
+            tr.WeightVector(-0.1, 0.6, 0.5)
         with pytest.raises(tr.ValidationError):
-            tr.validate_weights(1.2, -0.1, -0.1)
+            tr.WeightVector(1.2, -0.1, -0.1)
 
     def test_rejects_nan(self):
         with pytest.raises(tr.ValidationError):
-            tr.validate_weights(float("nan"), 0.5, 0.5)
+            tr.WeightVector(float("nan"), 0.5, 0.5)
 
     def test_zero_weight_is_accepted(self):
-        tr.validate_weights(0.0, 0.5, 0.5)
+        tr.WeightVector(0.0, 0.5, 0.5)
 
     def test_indexing_by_category(self):
-        w = tr.validate_weights(0.45, 0.10, 0.45)
+        w = tr.WeightVector(0.45, 0.10, 0.45)
         assert w[RC.NEUTRAL] == 0.10
         assert w.as_dict() == {"hostile": 0.45, "neutral": 0.10, "friendly": 0.45}
 
@@ -266,6 +268,15 @@ class TestEvaluate:
         w = tr.WeightVector(0.0, 0.5, 0.5)
         assert tr.evaluate(tr.CategoryMassVector(0.3, 0.2, 0.1), w).no_hostile
 
+    def test_off_scale_evaluation_raises_classify_message(self, case_weights):
+        bounds = tr.compute_bounds(case_weights)
+        with pytest.raises(tr.ValidationError) as from_classify:
+            tr.classify(0.7, bounds)
+        with pytest.raises(tr.ValidationError) as from_evaluation:
+            tr.TrustEvaluation(0.7, 0.7, RC.FRIENDLY, bounds, True)
+        assert str(from_evaluation.value) == str(from_classify.value)
+        assert str(from_classify.value).startswith("trust mass 0.7 lies outside the scale")
+
 
 class TestInterpretation:
     def test_generic_example_is_fair_consistent(self, generic_weights):
@@ -326,3 +337,25 @@ def test_value_type_messages_name_the_first_bad_category(build, message):
     with pytest.raises(tr.ValidationError) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        tr.WeightVector(0.45, 0.10, 0.45),
+        tr.ScalarConfig(-1, -1, 1),
+        tr.CategoryMassVector(0.9, 0.6, 0.15),
+        tr.compute_bounds(tr.WeightVector(0.45, 0.10, 0.45)),
+        tr.interpret_strength(
+            tr.evaluate(tr.CategoryMassVector(0.9, 0.6, 0.15), tr.WeightVector(0.45, 0.10, 0.45)),
+            0.6,
+        ),
+        tr.SweepRow(0.25, -0.1, 0.4, "hostile", True),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_dict_form_is_the_fields_in_order(value):
+    doc = value.as_dict()
+    names = [f.name for f in dataclasses.fields(value)]
+    assert list(doc) == names
+    assert all(doc[name] is getattr(value, name) for name in names)

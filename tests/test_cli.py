@@ -1,7 +1,10 @@
 """CLI surface tests: subcommands, exit statuses, output formats."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -236,6 +239,20 @@ class TestWhatIf:
              "--target", "weight", "--sweep", "0:1:0.1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("step", ["5e-324", "1e-12"])
+    def test_too_fine_sweep_exits_one_without_traceback(self, step):
+        done = subprocess.run(
+            [sys.executable, "-m", "trustrel.cli", "whatif", "--catalog", CATALOG,
+             "--assessment", USA, "--target", "weight:hostile", "--sweep", f"0:1:{step}"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: sweep: sweep step {step} makes more than 100001 grid points\n"
+        )
 
 
 class TestCatalogShow:

@@ -157,7 +157,7 @@ def test_weight_validation_accepts_exactly_the_normalized_triples(h, n, f):
     in_range = all(0.0 <= x <= 1.0 for x in (h, n, f))
     normalized = abs((h + n + f) - 1.0) <= 1e-9
     try:
-        tr.validate_weights(h, n, f)
+        tr.WeightVector(h, n, f)
         accepted = True
     except tr.ValidationError:
         accepted = False

@@ -98,6 +98,15 @@ class TestSensitivitySpec:
         for step in (0.0, float("inf"), float("nan")):
             with pytest.raises(tr.ValidationError, match=f"finite, got {step}"):
                 tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, step)
+        # rejected before values() would overflow or build the grid
+        for step in (5e-324, 1e-12):
+            with pytest.raises(tr.ValidationError, match=f"step {step} makes more than"):
+                tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, step)
+
+    def test_grid_point_limit(self):
+        assert len(tr.SensitivitySpec("weight", "hostile", 1.0, 0.0, 1e-5).values()) == 100_001
+        with pytest.raises(tr.ValidationError, match="more than 100001 grid points"):
+            tr.SensitivitySpec("weight", "hostile", 1.0, 0.0, 0.99999e-5)
 
     def test_rejects_out_of_range_endpoints(self):
         with pytest.raises(tr.ValidationError, match=r"\[0, 1\]"):
