@@ -100,7 +100,10 @@ class PropertyCatalog:
         return tuple(p for p in self.properties if p.category is category)
 
 
-@dataclass(frozen=True)
+# EvidenceLink and AssessmentEntry are built once per item read, so their
+# __init__ stores the fields straight into the instance dict, skipping the
+# frozen dataclass __init__'s object.__setattr__ call per field.
+@dataclass(frozen=True, init=False)
 class EvidenceLink:
     """Pointer to one event backing an observed property value."""
 
@@ -108,8 +111,14 @@ class EvidenceLink:
     source: str
     summary: str = ""
 
+    def __init__(self, date: date, source: str, summary: str = "") -> None:
+        fields = self.__dict__
+        fields["date"] = date
+        fields["source"] = source
+        fields["summary"] = summary
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class AssessmentEntry:
     """Observed value for one catalog property, with its evidence."""
 
@@ -117,13 +126,17 @@ class AssessmentEntry:
     value: float
     evidence: tuple[EvidenceLink, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evidence", tuple(self.evidence))
-        if not 0.0 <= self.value <= 1.0:
+    def __init__(self, property_id: str, value: float,
+                 evidence: tuple[EvidenceLink, ...] = ()) -> None:
+        evidence = tuple(evidence)
+        if not 0.0 <= value <= 1.0:
             raise ValidationError(
-                f"observed value for {self.property_id!r} must lie in [0, 1], "
-                f"got {self.value}"
+                f"observed value for {property_id!r} must lie in [0, 1], got {value}"
             )
+        fields = self.__dict__
+        fields["property_id"] = property_id
+        fields["value"] = value
+        fields["evidence"] = evidence
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,9 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
                 raise ValidationError(message)
             report.violations.append(message)
 
-    totals = {c: 0.0 for c in CATEGORIES}
+    # one slot per category, in CATEGORIES order: indexing a list skips
+    # hashing a RelationCategory, which Enum does in Python, per entry
+    totals = [0.0, 0.0, 0.0]
     seen: set[str] = set()
     for entry in assessment.entries:
         pid = entry.property_id
@@ -225,11 +240,11 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
             violation(f"unknown property id {pid!r}")
             continue
         violation(_cap_breach(prop, entry.value, mode))
-        totals[prop.category] += entry.value
-    for category, total in totals.items():
+        totals[CATEGORIES.index(prop.category)] += entry.value
+    for category, total in zip(CATEGORIES, totals):
         violation(_total_breach(category, total))
     if report is None or report.ok:
-        return CategoryMassVector(*totals.values())
+        return CategoryMassVector(*totals)
     return None
 
 
@@ -278,7 +293,8 @@ _MISSING = object()
 def _require(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     """Field ``key`` of the object ``doc``, checked to be a ``kind``; a
     float takes any JSON number, but no number takes a bool.  A field with
-    a ``default`` may be absent, or null if the default is None."""
+    a ``default`` may be absent, or null if the default is None.  Errors
+    are located at ``where``, or relative to ``doc`` when it is ""."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     value = doc.get(key, default)
@@ -379,32 +395,39 @@ def window_from_text(text: str) -> DateWindow:
 def assessment_from_dict(doc: dict) -> Assessment:
     """Build an assessment from its document form."""
     window = window_from_dict(_require(doc, "window", dict, "assessment"), "assessment.window")
-    entries = []
-    for i, raw in enumerate(_require(doc, "entries", list, "assessment")):
-        where = f"assessment.entries[{i}]"
-        evidence = []
-        for j, raw_link in enumerate(_require(raw, "evidence", list, where, [])):
-            link_where = f"{where}.evidence[{j}]"
-            evidence.append(
-                EvidenceLink(
-                    date=_parse_date(_require(raw_link, "date", str, link_where), link_where),
-                    source=_require(raw_link, "source", str, link_where),
-                    summary=_require(raw_link, "summary", str, link_where, ""),
-                )
-            )
-        entries.append(
-            AssessmentEntry(
-                property_id=_require(raw, "property", str, where),
-                value=_require(raw, "value", float, where),
-                evidence=tuple(evidence),
-            )
-        )
+    raw_entries = _require(doc, "entries", list, "assessment")
+    entries: list[AssessmentEntry] = []
+    try:
+        for raw in raw_entries:
+            entries.append(_entry_from_dict(raw))
+    except SchemaError as err:  # entries[i] failed: its location is built only now
+        raise SchemaError(f"assessment.entries[{len(entries)}]{err}") from None
     return Assessment(
         subject=_require(doc, "subject", str, "assessment"),
         object=_require(doc, "object", str, "assessment"),
         window=window,
         entries=tuple(entries),
         notes=_require(doc, "notes", str, "assessment", ""),
+    )
+
+
+def _entry_from_dict(doc: dict) -> AssessmentEntry:
+    """One entry of an assessment document.  A SchemaError is located
+    relative to the entry (``.value: ...``, ``: missing field ...``), for
+    the caller, which knows the entry's index, to prefix."""
+    raw_links = _require(doc, "evidence", list, "", [])
+    evidence: list[EvidenceLink] = []
+    try:
+        for raw in raw_links:
+            evidence.append(EvidenceLink(
+                _parse_date(_require(raw, "date", str, ""), ""),
+                _require(raw, "source", str, ""),
+                _require(raw, "summary", str, "", ""),
+            ))
+    except SchemaError as err:
+        raise SchemaError(f".evidence[{len(evidence)}]{err}") from None
+    return AssessmentEntry(
+        _require(doc, "property", str, ""), _require(doc, "value", float, ""), evidence
     )
 
 
@@ -433,9 +456,12 @@ def assessment_to_dict(assessment: Assessment) -> dict:
 
 
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
     except json.JSONDecodeError as err:
         raise SchemaError(
             f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"

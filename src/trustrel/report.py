@@ -253,7 +253,7 @@ class SensitivitySpec:
         return abs(self.stop - self.start) / self.step + TOLERANCE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRow(_Fields):
     """One grid point: swept input value and the resulting evaluation."""
 
@@ -262,6 +262,17 @@ class SweepRow(_Fields):
     strength: float
     label: str
     flipped: bool
+
+    # built once per grid point: the fields go straight into the instance
+    # dict, not through the frozen __init__'s object.__setattr__ per field
+    def __init__(self, value: float, trust_mass: float, strength: float,
+                 label: str, flipped: bool) -> None:
+        fields = self.__dict__
+        fields["value"] = value
+        fields["trust_mass"] = trust_mass
+        fields["strength"] = strength
+        fields["label"] = label
+        fields["flipped"] = flipped
 
 
 @dataclass(frozen=True)
@@ -418,7 +429,8 @@ def run_whatif(
         flipped = label is not base.label
         if flipped and first_flip is None:
             first_flip = value
-        rows.append(SweepRow(value, trust_mass, strength, label.value, flipped))
+        # _value_ is the member's value, read without the Enum.value property
+        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,

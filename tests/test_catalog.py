@@ -1,6 +1,9 @@
 """Unit tests for catalogs, assessments, and aggregation."""
 
+import copy
+import dataclasses
 import datetime as dt
+import math
 
 import pytest
 
@@ -220,3 +223,225 @@ class TestDocuments:
             tr.AssessmentEntry("f.P1", 1.2)
         with pytest.raises(tr.ValidationError):
             tr.AssessmentEntry("f.P1", -0.2)
+
+
+# --- bytes that are not a JSON document --------------------------------------
+
+@pytest.mark.parametrize("load", [tr.load_assessment, tr.load_catalog, tr.load_band_table,
+                                  tr.RelationStore.load],
+                         ids=["assessment", "catalog", "band_table", "store"])
+@pytest.mark.parametrize("content, detail", [
+    (b"\xff\xfe", "not UTF-8 text: invalid start byte at byte 0"),
+    (b'{"note": "caf\xe9"}', "not UTF-8 text: invalid continuation byte at byte 13"),
+    (b"[" * 200_000, "invalid JSON: nested too deeply"),
+], ids=["bom_bytes", "latin1_byte", "nested_too_deep"])
+def test_unreadable_document_is_schema_error(tmp_path, load, content, detail):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(tr.SchemaError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {detail}"
+
+
+# --- every read of an assessment document, and the error it reports --------
+
+DELETE = object()
+PIN_DOC = {
+    "subject": "USA", "object": "GBR",
+    "window": {"start": "2001-01-01", "end": "2005-12-31"},
+    "entries": [
+        {"property": "n.P1", "value": 0.2, "evidence": []},
+        {"property": "f.P1", "value": 0.3, "evidence": [
+            {"date": "2002-06-01", "source": "s0", "summary": "x"},
+            {"date": "2003-06-01", "source": "s1", "summary": "y"},
+        ]},
+    ],
+    "notes": "n",
+}
+W, E, L = ("window",), ("entries", 1), ("entries", 1, "evidence", 1)
+TOO_LARGE = 10 ** 400
+SE, VE = tr.SchemaError, tr.ValidationError
+# (case, [(path, new value or DELETE), ...], error type, message); the
+# messages are those the reader gave before its location strings became lazy
+READ_ERRORS = [
+    ("document_wrong_type", [((), ["x"])], SE, "assessment: expected an object"),
+    ("window_missing", [(W, DELETE)], SE, "assessment: missing field 'window'"),
+    ("window_wrong_type", [(W, ["2001-01-01"])], SE, "assessment.window: expected dict, got list"),
+    ("start_missing", [(W + ("start",), DELETE)], SE, "assessment.window: missing field 'start'"),
+    ("start_wrong_type", [(W + ("start",), 20010101)], SE,
+     "assessment.window.start: expected str, got int"),
+    ("start_bad_date", [(W + ("start",), "2001-13-01")], SE,
+     "assessment.window.start: expected an ISO-8601 date, got '2001-13-01'"),
+    ("end_missing", [(W + ("end",), DELETE)], SE, "assessment.window: missing field 'end'"),
+    ("end_wrong_type", [(W + ("end",), None)], SE,
+     "assessment.window.end: expected str, got NoneType"),
+    ("end_bad_date", [(W + ("end",), "2001/12/31")], SE,
+     "assessment.window.end: expected an ISO-8601 date, got '2001/12/31'"),
+    ("entries_missing", [(("entries",), DELETE)], SE, "assessment: missing field 'entries'"),
+    ("entries_wrong_type", [(("entries",), {})], SE, "assessment.entries: expected list, got dict"),
+    ("entry_wrong_type", [(E, "f.P1")], SE, "assessment.entries[1]: expected an object"),
+    ("evidence_wrong_type", [(E + ("evidence",), {})], SE,
+     "assessment.entries[1].evidence: expected list, got dict"),
+    ("evidence_null", [(E + ("evidence",), None)], SE,
+     "assessment.entries[1].evidence: expected list, got NoneType"),
+    ("link_wrong_type", [(L, "2003-06-01")], SE,
+     "assessment.entries[1].evidence[1]: expected an object"),
+    ("date_missing", [(L + ("date",), DELETE)], SE,
+     "assessment.entries[1].evidence[1]: missing field 'date'"),
+    ("date_wrong_type", [(L + ("date",), 2003)], SE,
+     "assessment.entries[1].evidence[1].date: expected str, got int"),
+    ("date_bad_date", [(L + ("date",), "2003-02-30")], SE,
+     "assessment.entries[1].evidence[1]: expected an ISO-8601 date, got '2003-02-30'"),
+    ("source_missing", [(L + ("source",), DELETE)], SE,
+     "assessment.entries[1].evidence[1]: missing field 'source'"),
+    ("source_wrong_type", [(L + ("source",), 1)], SE,
+     "assessment.entries[1].evidence[1].source: expected str, got int"),
+    ("summary_wrong_type", [(L + ("summary",), False)], SE,
+     "assessment.entries[1].evidence[1].summary: expected str, got bool"),
+    ("property_missing", [(E + ("property",), DELETE)], SE,
+     "assessment.entries[1]: missing field 'property'"),
+    ("property_wrong_type", [(E + ("property",), 7)], SE,
+     "assessment.entries[1].property: expected str, got int"),
+    ("value_missing", [(E + ("value",), DELETE)], SE, "assessment.entries[1]: missing field 'value'"),
+    ("value_wrong_type", [(E + ("value",), "0.3")], SE,
+     "assessment.entries[1].value: expected a number, got '0.3'"),
+    ("value_bool", [(E + ("value",), True)], SE,
+     "assessment.entries[1].value: expected a number, got True"),
+    ("value_too_large", [(E + ("value",), TOO_LARGE)], SE,
+     f"assessment.entries[1].value: 1{'0' * 400} is too large for a number"),
+    ("subject_missing", [(("subject",), DELETE)], SE, "assessment: missing field 'subject'"),
+    ("subject_wrong_type", [(("subject",), ["USA"])], SE,
+     "assessment.subject: expected str, got list"),
+    ("object_missing", [(("object",), DELETE)], SE, "assessment: missing field 'object'"),
+    ("object_wrong_type", [(("object",), 3.5)], SE, "assessment.object: expected str, got float"),
+    ("notes_wrong_type", [(("notes",), None)], SE, "assessment.notes: expected str, got NoneType"),
+    # invariants of the value types carry no location
+    ("value_above_one", [(E + ("value",), 1.5)], VE,
+     "observed value for 'f.P1' must lie in [0, 1], got 1.5"),
+    ("value_nan", [(E + ("value",), math.nan)], VE,
+     "observed value for 'f.P1' must lie in [0, 1], got nan"),
+    ("window_reversed", [(W + ("start",), "2006-01-01")], VE,
+     "window start 2006-01-01 is after its end 2005-12-31"),
+    # two faults in one document: the one read first is reported
+    ("entry_before_subject", [(("entries", 0, "value"), "x"), (("subject",), DELETE)], SE,
+     "assessment.entries[0].value: expected a number, got 'x'"),
+    ("first_entry_first", [(("entries", 0, "property"), DELETE), (E + ("value",), None)], SE,
+     "assessment.entries[0]: missing field 'property'"),
+    ("evidence_before_property", [(E + ("property",), DELETE), (L + ("date",), "x")], SE,
+     "assessment.entries[1].evidence[1]: expected an ISO-8601 date, got 'x'"),
+    ("value_range_before_subject", [(E + ("value",), 1.5), (("subject",), 1)], VE,
+     "observed value for 'f.P1' must lie in [0, 1], got 1.5"),
+    ("window_before_entries", [(W + ("end",), "2000-01-01"), (("entries",), DELETE)], VE,
+     "window start 2001-01-01 is after its end 2000-01-01"),
+]
+
+
+def _mutated(doc, changes):
+    for path, value in changes:
+        if not path:
+            doc = value
+            continue
+        doc = copy.deepcopy(doc)
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes, kind, message",
+                         [case[1:] for case in READ_ERRORS], ids=[case[0] for case in READ_ERRORS])
+def test_assessment_read_error_messages(changes, kind, message):
+    with pytest.raises(tr.TrustrelError) as err:
+        tr.assessment_from_dict(_mutated(PIN_DOC, changes))
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def test_pin_document_reads_cleanly():
+    assessment = tr.assessment_from_dict(PIN_DOC)
+    assert [e.property_id for e in assessment.entries] == ["n.P1", "f.P1"]
+    assert assessment.entries[1].evidence[1] == tr.EvidenceLink(dt.date(2003, 6, 1), "s1", "y")
+
+
+# --- the per-item value types keep their dataclass contract -----------------
+
+DAY = dt.date(2002, 6, 1)
+LINK = tr.EvidenceLink(DAY, "wire", "talks")
+
+
+class TestEvidenceLinkContract:
+    def test_construction_styles_agree(self):
+        assert tr.EvidenceLink(DAY, "wire", "talks") == LINK
+        assert tr.EvidenceLink(summary="talks", source="wire", date=DAY) == LINK
+        assert tr.EvidenceLink(DAY, "wire").summary == ""
+        assert tr.EvidenceLink(DAY, "wire") == tr.EvidenceLink(date=DAY, source="wire", summary="")
+        assert LINK != tr.EvidenceLink(DAY, "wire", "other")
+
+    def test_repr_and_hash(self):
+        assert repr(LINK) == (
+            "EvidenceLink(date=datetime.date(2002, 6, 1), source='wire', summary='talks')"
+        )
+        assert hash(LINK) == hash((DAY, "wire", "talks"))
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LINK.source = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del LINK.source
+
+    def test_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(tr.EvidenceLink)] == ["date", "source", "summary"]
+        assert dataclasses.replace(LINK, summary="") == tr.EvidenceLink(DAY, "wire")
+        assert vars(LINK) == {"date": DAY, "source": "wire", "summary": "talks"}
+
+    def test_missing_argument(self):
+        with pytest.raises(TypeError):
+            tr.EvidenceLink(DAY)
+
+
+class TestAssessmentEntryContract:
+    def test_construction_styles_agree(self):
+        entry_ = tr.AssessmentEntry("f.P1", 0.3, (LINK,))
+        assert tr.AssessmentEntry(evidence=(LINK,), value=0.3, property_id="f.P1") == entry_
+        assert tr.AssessmentEntry("f.P1", 0.3).evidence == ()
+        assert tr.AssessmentEntry("f.P1", 0.3) == tr.AssessmentEntry(property_id="f.P1", value=0.3)
+        assert tr.AssessmentEntry("f.P1", 0.3) != entry_
+
+    def test_list_evidence_is_stored_as_a_tuple(self):
+        entry_ = tr.AssessmentEntry("f.P1", 0.3, [LINK])
+        assert type(entry_.evidence) is tuple
+        assert entry_ == tr.AssessmentEntry("f.P1", 0.3, (LINK,))
+
+    def test_repr_and_hash(self):
+        entry_ = tr.AssessmentEntry("f.P1", 0.3, [LINK])
+        assert repr(entry_) == (
+            "AssessmentEntry(property_id='f.P1', value=0.3, evidence=(EvidenceLink("
+            "date=datetime.date(2002, 6, 1), source='wire', summary='talks'),))"
+        )
+        assert hash(entry_) == hash(("f.P1", 0.3, (LINK,)))
+
+    def test_frozen(self):
+        entry_ = tr.AssessmentEntry("f.P1", 0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry_.value = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del entry_.value
+
+    def test_fields_and_replace(self):
+        entry_ = tr.AssessmentEntry("f.P1", 0.3, [LINK])
+        names = [f.name for f in dataclasses.fields(tr.AssessmentEntry)]
+        assert names == ["property_id", "value", "evidence"]
+        assert dataclasses.replace(entry_, value=0.5) == tr.AssessmentEntry("f.P1", 0.5, (LINK,))
+        with pytest.raises(tr.ValidationError):
+            dataclasses.replace(entry_, value=1.5)
+
+    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (math.nan, "nan"), (-0.2, "-0.2")])
+    def test_value_outside_unit_interval(self, value, shown):
+        with pytest.raises(tr.ValidationError) as err:
+            tr.AssessmentEntry("f.P1", value)
+        assert str(err.value) == f"observed value for 'f.P1' must lie in [0, 1], got {shown}"

@@ -255,6 +255,31 @@ class TestWhatIf:
         )
 
 
+class TestUnreadableDocuments:
+    """Bytes that are not a JSON document exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    @pytest.mark.parametrize("command", [
+        ["validate", "--assessment", "{doc}"],
+        ["evaluate", "--catalog", "{doc}", "--assessment", USA],
+        ["matrix", "--store", "{doc}", "--window", "2001-01-01:2005-12-31"],
+    ], ids=["validate_assessment", "evaluate_catalog", "matrix_store"])
+    def test_exits_two_without_traceback(self, tmp_path, content, command):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        done = subprocess.run(
+            [sys.executable, "-m", "trustrel.cli", *(a.format(doc=doc) for a in command)],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and f"{doc}: " in done.stderr
+        assert done.stderr.count("\n") == 1
+
+
 class TestCatalogShow:
     def test_text_lists_all_properties(self, capsys):
         assert main(["catalog", "show"]) == 0

@@ -1,5 +1,6 @@
 """Unit tests for reports and what-if sweeps."""
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -209,3 +210,37 @@ class TestBandTableDocuments:
     def test_missing_bands_key(self):
         with pytest.raises(tr.SchemaError, match="bands"):
             tr.band_table_from_dict({})
+
+
+class TestSweepRowContract:
+    ROW = tr.SweepRow(0.25, 0.125, 0.5, "neutral", True)
+
+    def test_construction_styles_agree(self):
+        keywords = tr.SweepRow(flipped=True, label="neutral", strength=0.5,
+                               trust_mass=0.125, value=0.25)
+        assert keywords == self.ROW
+        assert tr.SweepRow(0.25, 0.125, 0.5, "neutral", False) != self.ROW
+        with pytest.raises(TypeError):
+            tr.SweepRow(0.25, 0.125, 0.5, "neutral")
+
+    def test_repr_hash_and_dict_form(self):
+        assert repr(self.ROW) == (
+            "SweepRow(value=0.25, trust_mass=0.125, strength=0.5, label='neutral', flipped=True)"
+        )
+        assert hash(self.ROW) == hash((0.25, 0.125, 0.5, "neutral", True))
+        assert list(self.ROW.as_dict().items()) == [
+            ("value", 0.25), ("trust_mass", 0.125), ("strength", 0.5),
+            ("label", "neutral"), ("flipped", True),
+        ]
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.ROW.label = "hostile"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.ROW.label
+
+    def test_fields_and_replace(self):
+        names = [f.name for f in dataclasses.fields(tr.SweepRow)]
+        assert names == ["value", "trust_mass", "strength", "label", "flipped"]
+        assert dataclasses.replace(self.ROW, flipped=False) == tr.SweepRow(
+            0.25, 0.125, 0.5, "neutral", False)
