@@ -165,10 +165,14 @@ def _bounds(
     """``compute_bounds``' lower, upper and middle band, with its checks."""
     signed_friendly = signs.friendly * friendly
     signed = (signs.hostile * hostile, signs.neutral * neutral, signed_friendly)
-    # sum() keeps the int 0 of an empty side, which JSON prints as 0; from
-    # Python 3.12 it also sums floats compensated, unlike a chain of +
-    lower = sum([v for v in signed if v < 0.0])
-    upper = sum([v for v in signed if v > 0.0])
+    # left to right from the int 0, so an empty side prints as 0: sum() does
+    # the same before Python 3.12, but compensates float sums from 3.12 on
+    lower = upper = 0
+    for v in signed:
+        if v < 0.0:
+            lower += v
+        elif v > 0.0:
+            upper += v
     band_low, band_high = lower + hostile, upper - signed_friendly
     try:
         _check_scale(lower, upper, band_low, band_high)

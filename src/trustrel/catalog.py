@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory
@@ -499,5 +498,4 @@ def save_assessment(assessment: Assessment, path: str | Path) -> None:
 
 def default_catalog() -> PropertyCatalog:
     """The property catalog shipped with the package."""
-    text = resources.files("trustrel.data").joinpath("default_catalog.json").read_text("utf-8")
-    return catalog_from_dict(json.loads(text))
+    return load_catalog(Path(__file__).with_name("data") / "default_catalog.json")

@@ -76,10 +76,16 @@ def _stage(name: str, fn, *args, **kwargs):
     """Run one pipeline stage, prefixing any failure with its name."""
     try:
         return fn(*args, **kwargs)
-    except SchemaError as err:
-        raise SchemaError(f"{name}: {err}") from None
-    except ValidationError as err:
-        raise ValidationError(f"{name}: {err}") from None
+    except TrustrelError as err:
+        raise type(err)(f"{name}: {err}") from None
+
+
+def _scoring_inputs(args: argparse.Namespace) -> tuple:
+    """The catalog, assessment, weights and signs of evaluate and whatif."""
+    return (_stage("catalog", load_catalog, args.catalog),
+            _stage("assessment", load_assessment, args.assessment),
+            _stage("weights", _parse_weights, args),
+            _stage("signs", _parse_signs, args.signs))
 
 
 def _print(result, fmt: str) -> None:
@@ -123,10 +129,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    catalog = _stage("catalog", load_catalog, args.catalog)
-    assessment = _stage("assessment", load_assessment, args.assessment)
-    weights = _stage("weights", _parse_weights, args)
-    signs = _stage("signs", _parse_signs, args.signs)
+    catalog, assessment, weights, signs = _scoring_inputs(args)
     bands = _stage("bands", load_band_table, args.bands) if args.bands else None
     report = _stage(
         "evaluation",
@@ -169,10 +172,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
-    catalog = _stage("catalog", load_catalog, args.catalog)
-    assessment = _stage("assessment", load_assessment, args.assessment)
-    weights = _stage("weights", _parse_weights, args)
-    signs = _stage("signs", _parse_signs, args.signs)
+    catalog, assessment, weights, signs = _scoring_inputs(args)
     spec = _stage("sweep", _parse_sensitivity, args.target, args.sweep)
     result = _stage(
         "sweep",
@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_weight_flags(p: argparse.ArgumentParser) -> None:
+    def add_scoring_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--catalog", required=True)
+        p.add_argument("--assessment", required=True)
         p.add_argument("--weights", help="three weights ordered hostile,neutral,friendly")
         p.add_argument("--weight-hostile", type=float, default=None)
         p.add_argument("--weight-neutral", type=float, default=None)
@@ -245,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.set_defaults(func=cmd_validate)
 
     p_evaluate = sub.add_parser("evaluate", help="evaluate one assessment")
-    p_evaluate.add_argument("--catalog", required=True)
-    p_evaluate.add_argument("--assessment", required=True)
-    add_weight_flags(p_evaluate)
+    add_scoring_flags(p_evaluate)
     p_evaluate.add_argument("--bands", help="optional band-table JSON for finer labels")
     p_evaluate.add_argument("--delta", type=float, default=0.1,
                             help="nearness distance for strength flags (default 0.1)")
@@ -263,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_whatif = sub.add_parser("whatif", help="sweep one input and track label flips")
-    p_whatif.add_argument("--catalog", required=True)
-    p_whatif.add_argument("--assessment", required=True)
-    add_weight_flags(p_whatif)
+    add_scoring_flags(p_whatif)
     p_whatif.add_argument("--target", required=True,
                           help="weight:<category> or property:<id>")
     p_whatif.add_argument("--sweep", required=True, help="grid FROM:TO:STEP")
@@ -292,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as err:
+    except (SchemaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except TrustrelError as err:

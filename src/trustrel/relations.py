@@ -14,6 +14,7 @@ reader always sees a consistent snapshot.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,10 +216,13 @@ class RelationStore:
         """N x N matrix of labels; the diagonal is always friendly.
 
         The matrix is not symmetrized and no transitive fill-in is
-        performed; unevaluated cells stay "undefined".
+        performed; unevaluated cells stay "undefined".  Every cell is
+        read from one snapshot of the store.
         """
+        # a shallow copy shares the published maps, which no write changes in place
+        snapshot = copy.copy(self)
         return [
-            [self.query_relation(row, col, window).label for col in nation_ids]
+            [snapshot.query_relation(row, col, window).label for col in nation_ids]
             for row in nation_ids
         ]
 
@@ -237,12 +241,15 @@ class RelationStore:
     # -- persistence ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        # records first: nations are only ever added, so the nations read
+        # after them include every nation they name
+        records = [_record_to_dict(r) for r in self.records]
         return {
             "nations": [
                 {"id": n.id, "name": n.name, "un_member": n.un_member}
                 for n in self.nations
             ],
-            "records": [_record_to_dict(r) for r in self.records],
+            "records": records,
         }
 
     @classmethod

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -279,6 +280,130 @@ class TestUnreadableDocuments:
         assert done.stderr.startswith("error: ") and f"{doc}: " in done.stderr
         assert done.stderr.count("\n") == 1
 
+
+
+@pytest.fixture
+def failing_docs(tmp_path):
+    """Documents that fail to read or to check, one per failing stage."""
+    caps = tr.catalog_to_dict(tr.default_catalog())
+    for raw in caps["properties"]:
+        if raw["id"] == "h.P3":
+            raw["cap"] = 0.175
+    store = tr.RelationStore()
+    store.register_nation(tr.Nation("USA"))
+    store.register_nation(tr.Nation("GBR"))
+    store.save(tmp_path / "store.json")
+    docs = {
+        "broken.json": '{"version": "1",',
+        "caps.json": json.dumps(caps),
+        "no_entries.json": json.dumps({
+            "subject": "USA", "object": "GBR",
+            "window": {"start": "2001-01-01", "end": "2005-12-31"},
+        }),
+        "bands.json": json.dumps({"bands": 3}),
+        "bad_store.json": json.dumps({"nations": [{"id": 3}], "records": []}),
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+EVALUATE = ["evaluate", "--catalog", CATALOG, "--assessment", USA]
+WHATIF = ["whatif", "--catalog", CATALOG, "--assessment", USA]
+WINDOW = ["--window", "2001-01-01:2005-12-31"]
+
+#: failure -> (argv, exit status, stderr); "{tmp}" is the ``failing_docs`` directory
+STAGE_FAILURES = {
+    "catalog_bad_json": (
+        ["evaluate", "--catalog", "{tmp}/broken.json", "--assessment", USA], 2,
+        "error: catalog: {tmp}/broken.json: invalid JSON at line 1 column 17: "
+        "Expecting property name enclosed in double quotes\n"),
+    "catalog_caps_total": (
+        ["evaluate", "--catalog", "{tmp}/caps.json", "--assessment", USA], 1,
+        "error: catalog: hostile caps must total 1.0, got 1.1\n"),
+    "assessment": (
+        ["whatif", "--catalog", CATALOG, "--assessment", "{tmp}/no_entries.json",
+         "--target", "weight:hostile", "--sweep", "0:1:0.5"], 2,
+        "error: assessment: assessment: missing field 'entries'\n"),
+    "weights_both_forms": (
+        EVALUATE + ["--weights", "0.4,0.2,0.4", "--weight-hostile", "0.4"], 1,
+        "error: weights: use either --weights or the --weight-* flags, not both\n"),
+    "weights_count": (
+        EVALUATE + ["--weights", "0.4,0.6"], 1,
+        "error: weights: --weights takes three comma-separated values "
+        "ordered hostile,neutral,friendly\n"),
+    "weights_not_numbers": (
+        EVALUATE + ["--weights", "0.4,x,0.4"], 1,
+        "error: weights: --weights values must be numbers, got '0.4,x,0.4'\n"),
+    "weights_long_form_incomplete": (
+        EVALUATE + ["--weight-hostile", "0.4", "--weight-neutral", "0.6"], 1,
+        "error: weights: all three of --weight-hostile, --weight-neutral, "
+        "--weight-friendly are required\n"),
+    "weights_sum": (
+        WHATIF + ["--weights", "0.5,0.5,0.5", "--target", "weight:hostile",
+                  "--sweep", "0:1:0.5"], 1,
+        "error: weights: weights must sum to 1, got 1.5\n"),
+    "signs": (
+        EVALUATE + ["--signs", "+,0,+"], 1,
+        "error: signs: --signs takes three of -/+ ordered hostile,neutral,friendly, "
+        "got '+,0,+'\n"),
+    "bands": (
+        EVALUATE + ["--bands", "{tmp}/bands.json"], 2,
+        "error: bands: band_table.bands: expected list, got int\n"),
+    "evaluation": (
+        ["evaluate", "--catalog", CATALOG, "--assessment", RIVAL,
+         "--weights", "0.45,0.10,0.45"], 1,
+        "error: evaluation: value 0.15 for 'h.P4' exceeds its cap 0.125 (strict mode)\n"),
+    "sweep_target": (
+        WHATIF + ["--target", "weight", "--sweep", "0:1:0.1"], 1,
+        "error: sweep: --target must look like weight:hostile or property:f.P1, "
+        "got 'weight'\n"),
+    "sweep_grid": (
+        WHATIF + ["--target", "weight:hostile", "--sweep", "0:1"], 1,
+        "error: sweep: --sweep must look like FROM:TO:STEP, got '0:1'\n"),
+    "store": (
+        ["matrix", "--store", "{tmp}/bad_store.json"] + WINDOW, 2,
+        "error: store: store.nations[0].id: expected str, got int\n"),
+    "window": (
+        ["matrix", "--store", "{tmp}/store.json", "--window", "2001-01-01"], 2,
+        "error: window: expected a date range START:END, got '2001-01-01'\n"),
+    "matrix": (
+        ["matrix", "--store", "{tmp}/store.json", "--nations", "USA,XYZ"] + WINDOW, 1,
+        "error: matrix: nation 'XYZ' is not registered\n"),
+    "missing_file": (
+        ["evaluate", "--catalog", "{tmp}/missing.json", "--assessment", USA], 2,
+        "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_FAILURES)
+def test_stage_failure_exit_status_and_line(case, failing_docs, capsys):
+    argv, status, stderr = STAGE_FAILURES[case]
+    assert main([arg.format(tmp=failing_docs) for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == stderr.format(tmp=failing_docs)
+
+
+@pytest.mark.parametrize("command", [["catalog", "show"], ["validate", "--assessment", USA]],
+                         ids=["catalog_show", "validate"])
+def test_damaged_shipped_catalog_exits_two_without_traceback(tmp_path, command):
+    package = tmp_path / "trustrel"
+    shutil.copytree(REPO_ROOT / "src" / "trustrel", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    data = package / "data" / "default_catalog.json"
+    text = data.read_text(encoding="utf-8")
+    data.write_text(text[: len(text) // 2], encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "trustrel.cli", *command],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {data}: invalid JSON at line ")
+    assert done.stderr.count("\n") == 1
 
 class TestCatalogShow:
     def test_text_lists_all_properties(self, capsys):

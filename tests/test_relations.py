@@ -1,6 +1,7 @@
 """Unit tests for the nation registry and relation store."""
 
 import copy
+import dataclasses
 import datetime as dt
 import json
 
@@ -267,6 +268,56 @@ class TestConcurrency:
             t.join()
         assert errors == []
 
+
+
+class TestOneStoreState:
+    """A save and a matrix each read one state of the store, even when a
+    write lands between two of their reads."""
+
+    def test_saved_store_loads_when_a_nation_and_its_record_land_mid_save(self, store, catalog):
+        class WriteAfterNations(tr.RelationStore):
+            wrote = False
+
+            @property
+            def nations(self):
+                nations = super().nations
+                if not self.wrote:
+                    self.wrote = True
+                    self.register_nation(tr.Nation("ZZZ"))
+                    self.evaluate_relation(
+                        "ZZZ", "USA", empty_assessment("ZZZ", "USA"), catalog, CASE_WEIGHTS
+                    )
+                return nations
+
+        writing = WriteAfterNations()
+        for nation in store.nations:
+            writing.register_nation(nation)
+        writing.evaluate_relation("USA", "GBR", empty_assessment("USA", "GBR"), catalog, CASE_WEIGHTS)
+        loaded = tr.RelationStore.from_dict(writing.to_dict())
+        assert [n.id for n in loaded.nations] == ["FRA", "GBR", "USA"]
+        assert [(r.subject, r.object) for r in loaded.records] == [("USA", "GBR")]
+
+    def test_matrix_is_one_store_state_when_writes_land_mid_matrix(
+        self, store, catalog, usa_assessment, monkeypatch
+    ):
+        ids = ["USA", "GBR"]
+        before = store.relation_matrix(ids, WINDOW)
+        nation, calls = tr.RelationStore.nation, []
+
+        def nation_then_write(self, nation_id):
+            calls.append(nation_id)
+            if len(calls) == 5:  # after the USA row, before the GBR->USA cell
+                for subject, obj in [("USA", "GBR"), ("GBR", "USA")]:
+                    pair = dataclasses.replace(usa_assessment, subject=subject, object=obj)
+                    store.evaluate_relation(subject, obj, pair, catalog, CASE_WEIGHTS)
+            return nation(self, nation_id)
+
+        monkeypatch.setattr(tr.RelationStore, "nation", nation_then_write)
+        during = store.relation_matrix(ids, WINDOW)
+        monkeypatch.undo()
+        after = store.relation_matrix(ids, WINDOW)
+        assert before != after
+        assert during in (before, after)
 
 class TestPersistence:
     def test_round_trip(self, store, catalog, usa_assessment, tmp_path):
