@@ -15,7 +15,7 @@ every value by its property's cap, ``free`` bounds values only by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from pathlib import Path
@@ -256,19 +256,6 @@ def _cap_breach(prop: PropertyDef, value: float, mode: str) -> str | None:
 def _total_breach(category: RelationCategory, total: float) -> str | None:
     """Why ``total`` may not be a category's mass, if it exceeds 1."""
     return f"{category} mass {total} exceeds 1" if total > 1.0 + TOLERANCE else None
-
-
-def replace_entry_value(
-    assessment: Assessment, property_id: str, value: float
-) -> Assessment:
-    """Copy an assessment with one entry's observed value replaced.
-
-    The property must appear exactly once.
-    """
-    index = _entry_index(assessment, property_id)
-    entries = list(assessment.entries)
-    entries[index] = replace(entries[index], value=value)
-    return replace(assessment, entries=tuple(entries))
 
 
 def _entry_index(assessment: Assessment, property_id: str) -> int:

@@ -13,6 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -361,6 +364,84 @@ def _reweight(others: list[float], index: int, value: float) -> list[float]:
     return scaled
 
 
+class _FrameMemo:
+    """Weight-sweep frames by key, least recently used first out.
+
+    A frame is ``(grid, error)``: ``grid`` holds eight floats per grid
+    point (value, the reweighted hostile, neutral and friendly weights,
+    then lower, upper, middle band low and high), and ``error`` is the
+    message of the first point whose weight checks fail, or None.  The
+    memo holds at most ``MAX_SWEEP_POINTS`` points in all, counting a
+    failing point as one, so a frame failing at its first point takes room.
+    """
+
+    def __init__(self) -> None:
+        self.points = 0
+        self._frames: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[array, str | None] | None:
+        with self._lock:
+            frame = self._frames.get(key)
+            if frame is not None:
+                self._frames.move_to_end(key)
+            return frame
+
+    def put(self, key: tuple, frame: tuple[array, str | None]) -> None:
+        """Publish a whole frame, evicting old ones to stay within the limit."""
+        with self._lock:
+            if key in self._frames:
+                return
+            self._frames[key] = frame
+            self.points += _frame_points(frame)
+            while self.points > MAX_SWEEP_POINTS:
+                self.points -= _frame_points(self._frames.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        with self._lock:
+            self._frames.clear()
+            self.points = 0
+
+
+def _frame_points(frame: tuple[array, str | None]) -> int:
+    grid, error = frame
+    return len(grid) // 8 + (error is not None)
+
+
+#: Frames of the weight sweeps run in this process, shared by every caller.
+_WEIGHT_FRAMES = _FrameMemo()
+
+
+def _weight_frame(
+    others: list[float], index: int, signs: ScalarConfig, spec: SensitivitySpec
+) -> tuple[array, str | None]:
+    """What a weight sweep computes at each grid point without the
+    assessment: ``reweight``, ``WeightVector`` and ``compute_bounds`` on
+    floats, up to the first point whose checks fail."""
+    # exact bits, so 0.0 and -0.0 (which a row can print) are two keys
+    key = (
+        array("d", (others[0], others[1], spec.start, spec.stop, spec.step)).tobytes(),
+        index, signs.hostile, signs.neutral, signs.friendly,
+    )
+    frame = _WEIGHT_FRAMES.get(key)
+    if frame is None:
+        grid, error = array("d"), None
+        for value in spec.values():
+            try:
+                w = _reweight(others, index, value)
+                _check_weights(*w)
+                edges = _bounds(*w, signs)
+            except ValidationError as err:
+                error = str(err)
+                break
+            grid.append(value)
+            grid.extend(w)
+            grid.extend(edges)
+        frame = (grid, error)
+        _WEIGHT_FRAMES.put(key, frame)
+    return frame
+
+
 def run_whatif(
     catalog: PropertyCatalog,
     assessment: Assessment,
@@ -379,19 +460,26 @@ def run_whatif(
     evaluation's, and is checked by the same functions that the value
     types and ``reweight`` call.  The sweep stops at its first failing
     grid point, with the error that evaluating that point alone raises.
+
+    A weight sweep's reweighted weights and scales do not depend on the
+    assessment, so the process remembers them, keyed on the exact
+    unswept weights, the signs, the swept category and the grid, for at
+    most ``MAX_SWEEP_POINTS`` grid points in all, least recently used
+    dropped first; there is no setting.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
     masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
     w = [weights.hostile, weights.neutral, weights.friendly]
-    sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
-    b = base.bounds
-    lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
-    sweep_weight = spec.target_kind == "weight"
-    if sweep_weight:
+    if spec.target_kind == "weight":
         index = CATEGORIES.index(spec.target_category())
         others = w[:index] + w[index + 1:]
+        frame = _weight_frame(others, index, signs, spec)
+        rows, first_flip = _weight_rows(frame, masses, signs, base.label)
     else:
+        sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
+        b = base.bounds
+        lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
         # the swept category adds the entries before the swept one, the
         # value, then the entries after it, as aggregate_masses does
         position = _entry_index(assessment, spec.target)
@@ -404,14 +492,10 @@ def run_whatif(
                     prefix += entry.value
                 elif i > position:
                     tail.append(entry.value)
-    rows = []
-    first_flip = None
-    for value in spec.values():
-        if sweep_weight:  # reweight, WeightVector, compute_bounds
-            w = _reweight(others, index, value)
-            _check_weights(*w)
-            lower, upper, band_low, band_high = _bounds(*w, signs)
-        else:  # the other entries passed their checks in base_masses
+        rows = []
+        first_flip = None
+        for value in spec.values():
+            # the other entries passed their checks in base_masses
             total = prefix + value
             for later in tail:
                 total += later
@@ -421,16 +505,16 @@ def run_whatif(
                 raise ValidationError(breach)
             # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
             masses[index] = total
-        # compute_trust_mass, compute_strength, classify, TrustEvaluation
-        trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
-        strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
-        label = _classify(trust_mass, lower, upper, band_low, band_high)
-        _check_strength(strength)
-        flipped = label is not base.label
-        if flipped and first_flip is None:
-            first_flip = value
-        # _value_ is the member's value, read without the Enum.value property
-        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
+            # compute_trust_mass, compute_strength, classify, TrustEvaluation
+            trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
+            strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
+            label = _classify(trust_mass, lower, upper, band_low, band_high)
+            _check_strength(strength)
+            flipped = label is not base.label
+            if flipped and first_flip is None:
+                first_flip = value
+            # _value_ is the member's value, read without the Enum.value property
+            rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,
@@ -438,6 +522,38 @@ def run_whatif(
         rows=tuple(rows),
         first_flip=first_flip,
     )
+
+
+def _weight_rows(
+    frame: tuple[array, str | None],
+    masses: list[float],
+    signs: ScalarConfig,
+    base_label: RelationCategory,
+) -> tuple[list[SweepRow], float | None]:
+    """A weight sweep's rows from its frame, with run_whatif's checks in
+    its order: each point's own, then the frame's weight error, if any."""
+    grid, error = frame
+    mh, mn, mf = masses
+    # masses[i] * sign * w[i] multiplies left to right: the first product is shared
+    th, tn, tf = mh * signs.hostile, mn * signs.neutral, mf * signs.friendly
+    rows = []
+    first_flip = None
+    points = iter(grid)
+    for value, wh, wn, wf, lower, upper, band_low, band_high in zip(*[points] * 8):
+        # compute_trust_mass, compute_strength, classify, TrustEvaluation
+        trust_mass = th * wh + tn * wn + tf * wf
+        strength = mh * wh + mn * wn + mf * wf
+        # a side of the scale with no weight is the int 0 (as a float it is
+        # never 0.0), which the off-scale message prints as "0"
+        label = _classify(trust_mass, lower or 0, upper or 0, band_low, band_high)
+        _check_strength(strength)
+        flipped = label is not base_label
+        if flipped and first_flip is None:
+            first_flip = value
+        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
+    if error is not None:
+        raise ValidationError(error)
+    return rows, first_flip
 
 
 # --- band table documents ----------------------------------------------------

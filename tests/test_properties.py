@@ -1,6 +1,7 @@
 """Property-based tests for the calculus invariants."""
 
 import datetime as dt
+import functools
 import json
 import pathlib
 import tempfile
@@ -12,7 +13,10 @@ from hypothesis import example, given, settings
 import trustrel as tr
 from trustrel import RelationCategory as RC
 from trustrel.algebra import TOLERANCE
-from trustrel.catalog import CAP_MODES, replace_entry_value
+from trustrel.catalog import CAP_MODES
+from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
+
+from sweep_reference import replace_entry_value
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -344,6 +348,92 @@ def test_weight_whatif_fails_with_the_point_alone_error(weights, signs, message)
     args = (CATALOG, assessment, weights, spec, signs, "strict")
     assert _outcome(lambda: _reference_whatif(*args)) == (tr.ValidationError, message)
     assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
+
+
+# --- weight sweeps against the process's memo of their frames -------------
+
+def _rendered(fn):
+    """A sweep's rows and its three renderings, or its error."""
+    try:
+        result = fn()
+    except tr.ValidationError as err:
+        return type(err), str(err)
+    return result.rows, result.to_json(), result.to_csv(), result.to_text()
+
+
+@functools.cache
+def _full_frame():
+    """The frame of one MAX_SWEEP_POINTS-point weight sweep."""
+    full = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 1e-5)
+    return _weight_frame([0.5, 0.5], 0, tr.DEFAULT_SIGNS, full)
+
+
+def _assessment(pairs):
+    entries = tuple(tr.AssessmentEntry(pid, value) for pid, value in pairs)
+    return tr.Assessment("AAA", "BBB", WINDOW, entries)
+
+
+# Free-mode masses of 1 + TOLERANCE in hostile and neutral, weights whose
+# friendly share is 0 and a negative friendly sign: the first point of a
+# friendly sweep up from 0 fails its strength or scale check, every later
+# one the scale's weight check.  The scale's empty lower side prints as 0.
+_AT_TOLERANCE = [("h.P1", 1.0), ("h.P2", 1e-9), ("n.P1", 1.0), ("n.P2", 1e-9), ("f.P1", 0.5)]
+# Under all-negative signs an all-zero assessment scores -0.0 while the
+# zero friendly weight is 0.0, and 0.0 once that weight is -0.0.
+_ALL_ZERO = [("h.P1", 0.0), ("n.P1", 0.0)]
+
+
+@given(
+    swept_assessments(),
+    st.one_of(zero_prone_weights(), weight_vectors()),
+    st.sampled_from(SIGN_CONFIGS),
+    st.sampled_from(("strict", "free")),
+    st.booleans(),
+)
+@example(
+    (_assessment(_AT_TOLERANCE), RC.FRIENDLY, None, (0.0, 0.2, 0.1)),
+    tr.WeightVector(0.003, 1 - 9e-10 - 0.003, 0.0), tr.ScalarConfig(1, 1, -1), "free", True,
+)
+@example(
+    (_assessment(_AT_TOLERANCE), RC.FRIENDLY, None, (0.0, 0.2, 0.1)),
+    tr.WeightVector(0.016, 1 - 5e-10 - 0.016, 0.0), tr.ScalarConfig(1, 1, -1), "free", True,
+)
+@example(
+    (_assessment(_ALL_ZERO), RC.HOSTILE, None, (0.0, 0.5, 0.25)),
+    tr.WeightVector(0.5, 0.5, 0.0), tr.ScalarConfig(-1, -1, -1), "free", False,
+)
+@settings(max_examples=200, deadline=None)
+def test_weight_sweep_is_the_same_cold_warm_evicted_and_per_signed_zero(
+    case, weights, signs, mode, ascending
+):
+    assessment, category, _, (start, stop, step) = case
+    low, high = sorted((start, stop))
+    ends = (low, high) if ascending else (high, low)
+    spec = tr.SensitivitySpec("weight", category.value, *ends, step)
+
+    def run(w, grid=spec):
+        return _rendered(lambda: tr.run_whatif(CATALOG, assessment, w, grid, signs, mode))
+
+    _WEIGHT_FRAMES.clear()
+    cold = run(weights)
+    assert cold == _rendered(
+        lambda: _reference_whatif(CATALOG, assessment, weights, spec, signs, mode))
+    assert run(weights) == cold
+    # every zero weight left unswept turned to -0.0: its own frame
+    signed_zero = tr.WeightVector(*(
+        -0.0 if c is not category and weights[c] == 0.0 else weights[c] for c in tr.CATEGORIES
+    ))
+    _WEIGHT_FRAMES.clear()
+    cold_signed_zero = run(signed_zero)
+    assert run(weights) == cold
+    assert run(signed_zero) == cold_signed_zero
+    # other profiles and grids, then a full grid that evicts all of them
+    for w in tr.WeightVector.uniform(), tr.WeightVector(0.6, 0.15, 0.25):
+        run(w)
+    run(weights, tr.SensitivitySpec("weight", category.value, low, high, step / 2))
+    _WEIGHT_FRAMES.put(("full",), _full_frame())
+    assert _WEIGHT_FRAMES.points == MAX_SWEEP_POINTS
+    assert run(weights) == cold
 
 
 def _enum_keyed_bounds(weights, signs):

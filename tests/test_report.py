@@ -3,12 +3,16 @@
 import dataclasses
 import datetime as dt
 import json
+import sys
+import threading
 
 import pytest
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
-from trustrel.catalog import replace_entry_value
+from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _frame_points
+
+from sweep_reference import replace_entry_value
 
 WINDOW = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
 
@@ -195,6 +199,88 @@ class TestWhatIf:
         assert str(err.value) == (
             "value 0.30000000000000004 for 'n.P1' exceeds its cap 0.25 (strict mode)"
         )
+
+
+def _frame_points_held():
+    """Points the weight-sweep memo counts, and the points its frames hold."""
+    return _WEIGHT_FRAMES.points, sum(map(_frame_points, _WEIGHT_FRAMES._frames.values()))
+
+
+class TestWeightFrameMemo:
+    def test_holds_at_most_max_sweep_points(self, catalog, usa_assessment, case_weights):
+        _WEIGHT_FRAMES.clear()
+        small = [tr.SensitivitySpec("weight", "neutral", i / 1000, 1.0, 0.05) for i in range(300)]
+        full = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 1e-5)
+        for spec in small[:150]:
+            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
+        first = sum(len(spec.values()) for spec in small[:150])
+        assert _frame_points_held() == (first, first)
+        assert len(tr.run_whatif(catalog, usa_assessment, case_weights, full).rows) == 100_001
+        assert _frame_points_held() == (100_001, 100_001)
+        for spec in small[150:]:
+            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
+            points, held = _frame_points_held()
+            assert points == held <= MAX_SWEEP_POINTS
+        # a friendly sweep down from 1 under weights (0, 0, 1) fails at its
+        # second point, so its frame counts one point and the failure
+        weights = tr.WeightVector(0.0, 0.0, 1.0)
+        for f in range(1, 101):
+            spec = tr.SensitivitySpec("weight", "friendly", 1.0, 0.0, 0.5 + f / 1000)
+            with pytest.raises(tr.ValidationError, match="cannot renormalize"):
+                tr.run_whatif(catalog, usa_assessment, weights, spec)
+        # the full frame went first, then the oldest small ones
+        last = sum(len(spec.values()) for spec in small[150:]) + 100 * 2
+        assert _frame_points_held() == (last, last)
+
+    def test_threads_sharing_the_memo_get_single_thread_results(self, catalog, usa_assessment):
+        profiles = [(0.4, 0.2, 0.4), (0.45, 0.1, 0.45), (0.0, 0.5, 0.5)]
+        grids = [(0.0, 1.0, 0.01), (1.0, 0.0, 0.02)]
+        jobs = [
+            (tr.WeightVector(*w), tr.SensitivitySpec("weight", c.value, *grid), signs)
+            for w in profiles for c in tr.CATEGORIES for grid in grids
+            for signs in (tr.DEFAULT_SIGNS, tr.ScalarConfig(1, -1, 1))
+        ]
+        # three 33,334-point frames fill the memo, so threads also evict
+        jobs += [
+            (tr.WeightVector(*w), tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 3e-5),
+             tr.DEFAULT_SIGNS)
+            for w in profiles
+        ]
+
+        def run(job):
+            weights, spec, signs = job
+            try:
+                return repr(tr.run_whatif(catalog, usa_assessment, weights, spec, signs))
+            except tr.ValidationError as err:
+                return str(err)
+
+        _WEIGHT_FRAMES.clear()
+        want = [run(job) for job in jobs]
+        _WEIGHT_FRAMES.clear()
+        got = [None] * 4
+
+        def worker(k):
+            # each thread starts a quarter further into the jobs
+            shift = k * len(jobs) // 4
+            results = [None] * len(jobs)
+            for i in [*range(shift, len(jobs)), *range(shift)]:
+                results[i] = run(jobs[i])
+            got[k] = results
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+        points, held = _frame_points_held()
+        assert points == held <= MAX_SWEEP_POINTS
 
 
 class TestBandTableDocuments:
