@@ -70,22 +70,17 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        _check_weights(self.hostile, self.neutral, self.friendly)
+        for name, weight in vars(self).items():
+            if not 0.0 <= weight <= 1.0:
+                raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
+        total = self.hostile + self.neutral + self.friendly
+        if abs(total - 1.0) > TOLERANCE:
+            raise ValidationError(f"weights must sum to 1, got {total}")
 
     @classmethod
     def uniform(cls) -> "WeightVector":
         """Equal emphasis on all three categories."""
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-
-def _check_weights(hostile: float, neutral: float, friendly: float) -> None:
-    """``WeightVector``'s check: each weight in [0, 1], summing to 1."""
-    for name, weight in (("hostile", hostile), ("neutral", neutral), ("friendly", friendly)):
-        if not 0.0 <= weight <= 1.0:
-            raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
-    total = hostile + neutral + friendly
-    if abs(total - 1.0) > TOLERANCE:
-        raise ValidationError(f"weights must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,20 @@ class ScalarBounds(_Fields):
     middle_band_high: float
 
     def __post_init__(self) -> None:
-        _check_scale(self.lower, self.upper, self.middle_band_low, self.middle_band_high)
+        ordered = (
+            self.lower <= self.middle_band_low + TOLERANCE
+            and self.middle_band_low <= self.middle_band_high + TOLERANCE
+            and self.middle_band_high <= self.upper + TOLERANCE
+        )
+        if not ordered:
+            raise ValidationError(
+                "bounds must satisfy lower <= middle_band_low <= middle_band_high <= upper, "
+                f"got {self!r}"
+            )
+        if abs((self.upper - self.lower) - 1.0) > TOLERANCE:
+            raise ValidationError(
+                f"interval scale must have total width 1, got {self.upper - self.lower}"
+            )
 
 
 @dataclass(frozen=True)
@@ -156,15 +164,8 @@ def compute_bounds(
     Raises ValidationError when the sign/weight combination is
     degenerate (empty middle band, or a band escaping the scale).
     """
-    return ScalarBounds(*_bounds(weights.hostile, weights.neutral, weights.friendly, signs))
-
-
-def _bounds(
-    hostile: float, neutral: float, friendly: float, signs: ScalarConfig
-) -> tuple[float, float, float, float]:
-    """``compute_bounds``' lower, upper and middle band, with its checks."""
-    signed_friendly = signs.friendly * friendly
-    signed = (signs.hostile * hostile, signs.neutral * neutral, signed_friendly)
+    signed_friendly = signs.friendly * weights.friendly
+    signed = (signs.hostile * weights.hostile, signs.neutral * weights.neutral, signed_friendly)
     # left to right from the int 0, so an empty side prints as 0: sum() does
     # the same before Python 3.12, but compensates float sums from 3.12 on
     lower = upper = 0
@@ -173,29 +174,10 @@ def _bounds(
             lower += v
         elif v > 0.0:
             upper += v
-    band_low, band_high = lower + hostile, upper - signed_friendly
     try:
-        _check_scale(lower, upper, band_low, band_high)
+        return ScalarBounds(lower, upper, lower + weights.hostile, upper - signed_friendly)
     except ValidationError as err:
         raise ValidationError(f"degenerate sign/weight combination: {err}") from None
-    return lower, upper, band_low, band_high
-
-
-def _check_scale(lower: float, upper: float, band_low: float, band_high: float) -> None:
-    """``ScalarBounds``' check: ordered edges on a scale of total width 1."""
-    ordered = (
-        lower <= band_low + TOLERANCE
-        and band_low <= band_high + TOLERANCE
-        and band_high <= upper + TOLERANCE
-    )
-    if not ordered:
-        raise ValidationError(
-            "bounds must satisfy lower <= middle_band_low <= middle_band_high <= upper, "
-            f"got ScalarBounds(lower={lower!r}, upper={upper!r}, "
-            f"middle_band_low={band_low!r}, middle_band_high={band_high!r})"
-        )
-    if abs((upper - lower) - 1.0) > TOLERANCE:
-        raise ValidationError(f"interval scale must have total width 1, got {upper - lower}")
 
 
 def compute_trust_mass(

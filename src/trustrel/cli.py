@@ -10,6 +10,7 @@ catalog).  Exit statuses: 0 success, 1 validation or domain error,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from .algebra import CATEGORIES, ScalarConfig, WeightVector
@@ -157,9 +158,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if not nation_ids:
         return EXIT_OK
     if args.format == "csv":
-        print(",".join(["subject\\object"] + nation_ids))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["subject\\object"] + nation_ids)
         for nation_id, row in zip(nation_ids, labels):
-            print(",".join([nation_id] + row))
+            writer.writerow([nation_id] + row)
     else:
         width = max(len(cell) for row in labels for cell in row)
         width = max(width, max(len(n) for n in nation_ids))

@@ -22,6 +22,7 @@ from pathlib import Path
 from .algebra import (
     CATEGORIES,
     DEFAULT_SIGNS,
+    TOLERANCE,
     BandTable,
     CategoryMassVector,
     ScalarConfig,
@@ -315,8 +316,9 @@ def _record_to_dict(record: RelationRecord) -> dict:
 def _record_from_dict(doc: dict, where: str) -> RelationRecord:
     """Rebuild a stored record through the calculus: bounds from the stored
     weights and signs, the label from the stored trust mass, each equal to
-    what was stored.  Masses and band tables are not stored, so
-    ``no_hostile`` and ``band_label`` are only type-checked."""
+    what was stored, and a strength no smaller than the trust mass's
+    magnitude.  Masses and band tables are not stored, so ``no_hostile``
+    and ``band_label`` are only type-checked."""
     weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float, where))
     signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int, where))
     raw_eval, eval_where = _require(doc, "evaluation", dict, where), f"{where}.evaluation"
@@ -329,13 +331,17 @@ def _record_from_dict(doc: dict, where: str) -> RelationRecord:
     stored = _require(raw_eval, "label", str, eval_where)
     if stored != label.value:
         raise SchemaError(f"{eval_where}.label: trust mass {trust_mass} is {label}, not {stored!r}")
+    # trust mass sums +p or -p over the terms p whose sum is the strength
+    strength = _require(raw_eval, "strength", float, eval_where)
+    if strength < abs(trust_mass) - TOLERANCE:
+        raise SchemaError(f"{eval_where}.strength: {strength} is below |trust mass| {abs(trust_mass)}")
     return RelationRecord(
         subject=_require(doc, "subject", str, where),
         object=_require(doc, "object", str, where),
         window=window_from_dict(_require(doc, "window", dict, where), f"{where}.window"),
         evaluation=TrustEvaluation(
             trust_mass=trust_mass,
-            strength=_require(raw_eval, "strength", float, eval_where),
+            strength=strength,
             label=label,
             bounds=bounds,
             no_hostile=_require(raw_eval, "no_hostile", bool, eval_where),

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,11 +29,10 @@ from .algebra import (
     ScalarConfig,
     StrengthInterpretation,
     WeightVector,
-    _bounds,
     _check_strength,
-    _check_weights,
     _classify,
     _Fields,
+    compute_bounds,
     evaluate,
     interpret_strength,
 )
@@ -343,102 +340,63 @@ def reweight(
     index = CATEGORIES.index(category)
     others = [weights.hostile, weights.neutral, weights.friendly]
     del others[index]
-    return WeightVector(*_reweight(others, index, value))
-
-
-def _reweight(others: list[float], index: int, value: float) -> list[float]:
-    """``reweight`` on floats: ``others`` are the weights besides the one
-    at ``index``, which becomes ``value``."""
     other_sum = others[0] + others[1]
     remainder = 1.0 - value
     if other_sum <= 0.0:
         if abs(remainder) > TOLERANCE:
             raise ValidationError(
-                f"cannot renormalize: weights other than {CATEGORIES[index]} are both zero"
+                f"cannot renormalize: weights other than {category} are both zero"
             )
         scaled = [0.0, 0.0]
     else:
         scale = remainder / other_sum
         scaled = [others[0] * scale, others[1] * scale]
     scaled.insert(index, value)
-    return scaled
+    return WeightVector(*scaled)
 
 
-class _FrameMemo:
-    """Weight-sweep frames by key, least recently used first out.
+#: The last weight-sweep frame of each swept category, in ``CATEGORIES``
+#: order, as ``(key, frame)``: one list item is read or replaced at once,
+#: and a published pair is never changed, so threads share it unlocked.
+_WEIGHT_FRAMES: list = [None] * len(CATEGORIES)
+
+
+def _weight_frame(
+    weights: WeightVector, category: RelationCategory, signs: ScalarConfig,
+    spec: SensitivitySpec,
+) -> tuple[array, str | None]:
+    """What a weight sweep computes at each grid point without the
+    assessment, ``reweight`` then ``compute_bounds``, up to the first
+    point that fails.
 
     A frame is ``(grid, error)``: ``grid`` holds eight floats per grid
     point (value, the reweighted hostile, neutral and friendly weights,
     then lower, upper, middle band low and high), and ``error`` is the
-    message of the first point whose weight checks fail, or None.  The
-    memo holds at most ``MAX_SWEEP_POINTS`` points in all, counting a
-    failing point as one, so a frame failing at its first point takes room.
+    message of the first failing point, or None.
     """
-
-    def __init__(self) -> None:
-        self.points = 0
-        self._frames: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple[array, str | None] | None:
-        with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                self._frames.move_to_end(key)
-            return frame
-
-    def put(self, key: tuple, frame: tuple[array, str | None]) -> None:
-        """Publish a whole frame, evicting old ones to stay within the limit."""
-        with self._lock:
-            if key in self._frames:
-                return
-            self._frames[key] = frame
-            self.points += _frame_points(frame)
-            while self.points > MAX_SWEEP_POINTS:
-                self.points -= _frame_points(self._frames.popitem(last=False)[1])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._frames.clear()
-            self.points = 0
-
-
-def _frame_points(frame: tuple[array, str | None]) -> int:
-    grid, error = frame
-    return len(grid) // 8 + (error is not None)
-
-
-#: Frames of the weight sweeps run in this process, shared by every caller.
-_WEIGHT_FRAMES = _FrameMemo()
-
-
-def _weight_frame(
-    others: list[float], index: int, signs: ScalarConfig, spec: SensitivitySpec
-) -> tuple[array, str | None]:
-    """What a weight sweep computes at each grid point without the
-    assessment: ``reweight``, ``WeightVector`` and ``compute_bounds`` on
-    floats, up to the first point whose checks fail."""
+    index = CATEGORIES.index(category)
+    others = [weights.hostile, weights.neutral, weights.friendly]
+    del others[index]
     # exact bits, so 0.0 and -0.0 (which a row can print) are two keys
     key = (
-        array("d", (others[0], others[1], spec.start, spec.stop, spec.step)).tobytes(),
-        index, signs.hostile, signs.neutral, signs.friendly,
+        array("d", (*others, spec.start, spec.stop, spec.step)).tobytes(),
+        signs.hostile, signs.neutral, signs.friendly,
     )
-    frame = _WEIGHT_FRAMES.get(key)
-    if frame is None:
-        grid, error = array("d"), None
-        for value in spec.values():
-            try:
-                w = _reweight(others, index, value)
-                _check_weights(*w)
-                edges = _bounds(*w, signs)
-            except ValidationError as err:
-                error = str(err)
-                break
-            grid.append(value)
-            grid.extend(w)
-            grid.extend(edges)
-        frame = (grid, error)
-        _WEIGHT_FRAMES.put(key, frame)
+    slot = _WEIGHT_FRAMES[index]
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    grid, error = array("d"), None
+    for value in spec.values():
+        try:
+            w = reweight(weights, category, value)
+            b = compute_bounds(w, signs)
+        except ValidationError as err:
+            error = str(err)
+            break
+        grid.extend((value, w.hostile, w.neutral, w.friendly,
+                     b.lower, b.upper, b.middle_band_low, b.middle_band_high))
+    frame = (grid, error)
+    _WEIGHT_FRAMES[index] = (key, frame)
     return frame
 
 
@@ -458,25 +416,25 @@ def run_whatif(
     once.  Each point is computed on plain floats by the operations that
     evaluating it alone performs, so each row is bit for bit that
     evaluation's, and is checked by the same functions that the value
-    types and ``reweight`` call.  The sweep stops at its first failing
-    grid point, with the error that evaluating that point alone raises.
+    types call.  The sweep stops at its first failing grid point, with
+    the error that evaluating that point alone raises.
 
     A weight sweep's reweighted weights and scales do not depend on the
-    assessment, so the process remembers them, keyed on the exact
-    unswept weights, the signs, the swept category and the grid, for at
-    most ``MAX_SWEEP_POINTS`` grid points in all, least recently used
-    dropped first; there is no setting.
+    assessment, so the process keeps one frame of them per swept
+    category: the last one built, keyed on the exact unswept weights,
+    the signs and the grid.  That holds at most three frames of
+    ``MAX_SWEEP_POINTS`` points, and alternating weight profiles or
+    grids within one category rebuild the frame on every sweep; there is
+    no setting.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
     masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
-    w = [weights.hostile, weights.neutral, weights.friendly]
     if spec.target_kind == "weight":
-        index = CATEGORIES.index(spec.target_category())
-        others = w[:index] + w[index + 1:]
-        frame = _weight_frame(others, index, signs, spec)
+        frame = _weight_frame(weights, spec.target_category(), signs, spec)
         rows, first_flip = _weight_rows(frame, masses, signs, base.label)
     else:
+        w = [weights.hostile, weights.neutral, weights.friendly]
         sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
         b = base.bounds
         lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high

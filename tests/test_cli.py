@@ -1,5 +1,7 @@
 """CLI surface tests: subcommands, exit statuses, output formats."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -186,6 +188,19 @@ class TestMatrix:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "USA,friendly,friendly"
         assert lines[2] == "GBR,undefined,friendly"
+
+    def test_csv_quotes_ids_so_rows_keep_their_width(self, tmp_path, capsys):
+        ids = ["USA", "GBR,UK", 'FR"A']
+        store = tr.RelationStore()
+        for nation_id in ids:
+            store.register_nation(tr.Nation(nation_id))
+        path = tmp_path / "store.json"
+        store.save(path)
+        assert main(["matrix", "--store", str(path), "--window", "2001-01-01:2005-12-31",
+                     "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [4] * 4
+        assert rows[0][1:] == [row[0] for row in rows[1:]] == sorted(ids)
 
     def test_unknown_nation_named(self, store_path, capsys):
         code = main(

@@ -1,7 +1,6 @@
 """Property-based tests for the calculus invariants."""
 
 import datetime as dt
-import functools
 import json
 import pathlib
 import tempfile
@@ -14,7 +13,7 @@ import trustrel as tr
 from trustrel import RelationCategory as RC
 from trustrel.algebra import TOLERANCE
 from trustrel.catalog import CAP_MODES
-from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
+from trustrel.report import _WEIGHT_FRAMES
 
 from sweep_reference import replace_entry_value
 
@@ -350,7 +349,7 @@ def test_weight_whatif_fails_with_the_point_alone_error(weights, signs, message)
     assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
 
 
-# --- weight sweeps against the process's memo of their frames -------------
+# --- weight sweeps against the process's frame per swept category ---------
 
 def _rendered(fn):
     """A sweep's rows and its three renderings, or its error."""
@@ -359,13 +358,6 @@ def _rendered(fn):
     except tr.ValidationError as err:
         return type(err), str(err)
     return result.rows, result.to_json(), result.to_csv(), result.to_text()
-
-
-@functools.cache
-def _full_frame():
-    """The frame of one MAX_SWEEP_POINTS-point weight sweep."""
-    full = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 1e-5)
-    return _weight_frame([0.5, 0.5], 0, tr.DEFAULT_SIGNS, full)
 
 
 def _assessment(pairs):
@@ -414,7 +406,7 @@ def test_weight_sweep_is_the_same_cold_warm_evicted_and_per_signed_zero(
     def run(w, grid=spec):
         return _rendered(lambda: tr.run_whatif(CATALOG, assessment, w, grid, signs, mode))
 
-    _WEIGHT_FRAMES.clear()
+    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
     cold = run(weights)
     assert cold == _rendered(
         lambda: _reference_whatif(CATALOG, assessment, weights, spec, signs, mode))
@@ -423,16 +415,17 @@ def test_weight_sweep_is_the_same_cold_warm_evicted_and_per_signed_zero(
     signed_zero = tr.WeightVector(*(
         -0.0 if c is not category and weights[c] == 0.0 else weights[c] for c in tr.CATEGORIES
     ))
-    _WEIGHT_FRAMES.clear()
+    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
     cold_signed_zero = run(signed_zero)
     assert run(weights) == cold
     assert run(signed_zero) == cold_signed_zero
-    # other profiles and grids, then a full grid that evicts all of them
+    # other profiles, then another grid, each evicting the category's frame
     for w in tr.WeightVector.uniform(), tr.WeightVector(0.6, 0.15, 0.25):
         run(w)
-    run(weights, tr.SensitivitySpec("weight", category.value, low, high, step / 2))
-    _WEIGHT_FRAMES.put(("full",), _full_frame())
-    assert _WEIGHT_FRAMES.points == MAX_SWEEP_POINTS
+        assert run(weights) == cold
+    finer = tr.SensitivitySpec("weight", category.value, low, high, step / 2)
+    assert run(weights, finer) == _rendered(
+        lambda: _reference_whatif(CATALOG, assessment, weights, finer, signs, mode))
     assert run(weights) == cold
 
 

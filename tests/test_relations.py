@@ -388,6 +388,8 @@ STORE_DEFECTS = {
                                  _set("records", 1, "evaluation", "trust_mass", value=2.0)),
     "strength above 1": ("store.records[1]",
                          _set("records", 1, "evaluation", "strength", value=1.5)),
+    "strength below the trust mass": ("store.records[1].evaluation.strength",
+                                      _set("records", 1, "evaluation", "strength", value=0.0)),
     "integer too large for a float": ("store.records[1].evaluation.strength",
                                       _set("records", 1, "evaluation", "strength", value=10**400)),
 }

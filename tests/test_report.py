@@ -10,7 +10,7 @@ import pytest
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
-from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _frame_points
+from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
 
 from sweep_reference import replace_entry_value
 
@@ -201,36 +201,55 @@ class TestWhatIf:
         )
 
 
-def _frame_points_held():
-    """Points the weight-sweep memo counts, and the points its frames hold."""
-    return _WEIGHT_FRAMES.points, sum(map(_frame_points, _WEIGHT_FRAMES._frames.values()))
+def _clear_frames():
+    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
+
+
+def _slot_points():
+    """Points each weight-sweep slot holds, a failing point counted as one."""
+    return [
+        len(grid) // 8 + (error is not None)
+        for _, (grid, error) in filter(None, _WEIGHT_FRAMES)
+    ]
 
 
 class TestWeightFrameMemo:
-    def test_holds_at_most_max_sweep_points(self, catalog, usa_assessment, case_weights):
-        _WEIGHT_FRAMES.clear()
-        small = [tr.SensitivitySpec("weight", "neutral", i / 1000, 1.0, 0.05) for i in range(300)]
-        full = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 1e-5)
-        for spec in small[:150]:
-            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
-        first = sum(len(spec.values()) for spec in small[:150])
-        assert _frame_points_held() == (first, first)
-        assert len(tr.run_whatif(catalog, usa_assessment, case_weights, full).rows) == 100_001
-        assert _frame_points_held() == (100_001, 100_001)
-        for spec in small[150:]:
-            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
-            points, held = _frame_points_held()
-            assert points == held <= MAX_SWEEP_POINTS
+    def test_keeps_the_last_frame_of_each_swept_category(self, case_weights):
+        _clear_frames()
+        hostile = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.05)
+        neutral = tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 0.05)
+
+        def frame(spec, weights=case_weights):
+            return _weight_frame(weights, spec.target_category(), tr.DEFAULT_SIGNS, spec)
+
+        first = frame(hostile)
+        other = frame(neutral)
+        assert frame(hostile) is first
+        # a new grid replaces only its own category's slot
+        finer = frame(tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.025))
+        assert finer is not first and len(finer[0]) // 8 == 41
+        assert frame(neutral) is other
+        # and so does a new profile
+        shifted = frame(neutral, tr.WeightVector(0.3, 0.3, 0.4))
+        assert shifted is not other
+        assert _WEIGHT_FRAMES[0][1] is finer and _WEIGHT_FRAMES[1][1] is shifted
+        assert _WEIGHT_FRAMES[2] is None
+
+    def test_no_slot_holds_more_than_max_sweep_points(
+        self, catalog, usa_assessment, case_weights
+    ):
+        _clear_frames()
+        for category in tr.CATEGORIES:
+            full = tr.SensitivitySpec("weight", category.value, 0.0, 1.0, 1e-5)
+            rows = tr.run_whatif(catalog, usa_assessment, case_weights, full).rows
+            assert len(rows) == MAX_SWEEP_POINTS
+        assert _slot_points() == [MAX_SWEEP_POINTS] * 3
         # a friendly sweep down from 1 under weights (0, 0, 1) fails at its
-        # second point, so its frame counts one point and the failure
-        weights = tr.WeightVector(0.0, 0.0, 1.0)
-        for f in range(1, 101):
-            spec = tr.SensitivitySpec("weight", "friendly", 1.0, 0.0, 0.5 + f / 1000)
-            with pytest.raises(tr.ValidationError, match="cannot renormalize"):
-                tr.run_whatif(catalog, usa_assessment, weights, spec)
-        # the full frame went first, then the oldest small ones
-        last = sum(len(spec.values()) for spec in small[150:]) + 100 * 2
-        assert _frame_points_held() == (last, last)
+        # second point, so its frame holds one point and the failure
+        spec = tr.SensitivitySpec("weight", "friendly", 1.0, 0.0, 0.5)
+        with pytest.raises(tr.ValidationError, match="cannot renormalize"):
+            tr.run_whatif(catalog, usa_assessment, tr.WeightVector(0.0, 0.0, 1.0), spec)
+        assert _slot_points() == [MAX_SWEEP_POINTS, MAX_SWEEP_POINTS, 2]
 
     def test_threads_sharing_the_memo_get_single_thread_results(self, catalog, usa_assessment):
         profiles = [(0.4, 0.2, 0.4), (0.45, 0.1, 0.45), (0.0, 0.5, 0.5)]
@@ -240,7 +259,7 @@ class TestWeightFrameMemo:
             for w in profiles for c in tr.CATEGORIES for grid in grids
             for signs in (tr.DEFAULT_SIGNS, tr.ScalarConfig(1, -1, 1))
         ]
-        # three 33,334-point frames fill the memo, so threads also evict
+        # three 33,334-point frames, so a rebuilt frame can be a large one
         jobs += [
             (tr.WeightVector(*w), tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 3e-5),
              tr.DEFAULT_SIGNS)
@@ -254,9 +273,9 @@ class TestWeightFrameMemo:
             except tr.ValidationError as err:
                 return str(err)
 
-        _WEIGHT_FRAMES.clear()
+        _clear_frames()
         want = [run(job) for job in jobs]
-        _WEIGHT_FRAMES.clear()
+        _clear_frames()
         got = [None] * 4
 
         def worker(k):
@@ -279,8 +298,7 @@ class TestWeightFrameMemo:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
-        points, held = _frame_points_held()
-        assert points == held <= MAX_SWEEP_POINTS
+        assert max(_slot_points()) <= MAX_SWEEP_POINTS
 
 
 class TestBandTableDocuments:
