@@ -151,6 +151,12 @@ class Assessment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
 
+    def __getstate__(self) -> dict:
+        # masses a scan kept stay with this object: a copy or pickle scans again
+        state = dict(self.__dict__)
+        state.pop(_KEPT_MASSES, None)
+        return state
+
     @property
     def ref(self) -> str:
         """Short provenance string identifying this assessment."""
@@ -169,6 +175,12 @@ class AssessmentReport:
         return not self.violations
 
 
+#: Instance-dict key of the masses a clean scan keeps with an assessment,
+#: as one ``(catalog, mode, masses)`` tuple.  Not a dataclass field, so
+#: ``==``, ``hash``, ``repr``, ``replace`` and the document never see it.
+_KEPT_MASSES = "_kept_masses"
+
+
 def aggregate_masses(
     assessment: Assessment,
     catalog: PropertyCatalog,
@@ -178,8 +190,13 @@ def aggregate_masses(
 
     Properties never referenced contribute 0.  Raises ValidationError
     on an unknown property id, a value above its cap in strict mode, or
-    a category total above 1.
+    a category total above 1.  When an earlier scan of this assessment,
+    here or in ``validate_assessment``, found no violation with this
+    same catalog object and mode, its masses are returned unscanned.
     """
+    kept = assessment.__dict__.get(_KEPT_MASSES)
+    if kept is not None and kept[0] is catalog and kept[1] == mode:
+        return kept[2]
     return _scan(assessment, catalog, mode)
 
 
@@ -205,17 +222,24 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
 
     Without a report the first violation raises ValidationError.  With
     one, every violation and warning is collected in entry order, and
-    the masses are returned only when there is no violation.
+    the masses are returned only when there is no violation.  Masses
+    returned are kept with the assessment for ``aggregate_masses``,
+    keyed on the catalog object and the mode: the assessment, its
+    entries and the catalog are frozen, so the same scan would return
+    them again.  They are published as one tuple, so readers need no
+    lock; a scan that finds a violation keeps nothing.
     """
     if mode not in CAP_MODES:
         raise ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
 
-    def violation(message: str | None) -> None:
-        if message is not None:
-            if report is None:
-                raise ValidationError(message)
-            report.violations.append(message)
+    def violation(message: str) -> None:
+        if report is None:
+            raise ValidationError(message)
+        report.violations.append(message)
 
+    by_id = catalog.by_id
+    window = assessment.window
+    start, end = window.start, window.end
     # one slot per category, in CATEGORIES order: indexing a list skips
     # hashing a RelationCategory, which Enum does in Python, per entry
     totals = [0.0, 0.0, 0.0]
@@ -229,22 +253,28 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
             if not entry.evidence:
                 report.warnings.append(f"entry {pid!r} has no supporting evidence")
             for link in entry.evidence:
-                if not assessment.window.covers(link.date):
+                if not start <= link.date <= end:
                     report.violations.append(
                         f"evidence for {pid!r} dated {link.date} "
-                        f"falls outside the window {assessment.window}"
+                        f"falls outside the window {window}"
                     )
-        prop = catalog.by_id.get(pid)
+        prop = by_id.get(pid)
         if prop is None:
             violation(f"unknown property id {pid!r}")
             continue
-        violation(_cap_breach(prop, entry.value, mode))
+        message = _cap_breach(prop, entry.value, mode)
+        if message is not None:
+            violation(message)
         totals[CATEGORIES.index(prop.category)] += entry.value
     for category, total in zip(CATEGORIES, totals):
-        violation(_total_breach(category, total))
-    if report is None or report.ok:
-        return CategoryMassVector(*totals)
-    return None
+        message = _total_breach(category, total)
+        if message is not None:
+            violation(message)
+    if report is not None and not report.ok:
+        return None
+    masses = CategoryMassVector(*totals)
+    assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses)
+    return masses
 
 
 def _cap_breach(prop: PropertyDef, value: float, mode: str) -> str | None:
@@ -379,42 +409,76 @@ def window_from_text(text: str) -> DateWindow:
 
 
 def assessment_from_dict(doc: dict) -> Assessment:
-    """Build an assessment from its document form."""
-    window = window_from_dict(_require(doc, "window", dict, "assessment"), "assessment.window")
-    raw_entries = _require(doc, "entries", list, "assessment")
+    """Build an assessment from its document form.
+
+    Each object is checked once and each field read once, in a fixed
+    order (window, entries, subject, object, notes; in an entry its
+    evidence, then property and value), so the first fault read is the
+    one reported.  A field that is absent or not of its type is read
+    again by ``_require``, for the error (or the number) it gives.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError("assessment: expected an object")
+    raw_window = doc.get("window")
+    if type(raw_window) is not dict:
+        raw_window = _require(doc, "window", dict, "assessment")
+    window = window_from_dict(raw_window, "assessment.window")
+    raw_entries = doc.get("entries")
+    if type(raw_entries) is not list:
+        raw_entries = _require(doc, "entries", list, "assessment")
     entries: list[AssessmentEntry] = []
     try:
         for raw in raw_entries:
             entries.append(_entry_from_dict(raw))
     except SchemaError as err:  # entries[i] failed: its location is built only now
         raise SchemaError(f"assessment.entries[{len(entries)}]{err}") from None
-    return Assessment(
-        subject=_require(doc, "subject", str, "assessment"),
-        object=_require(doc, "object", str, "assessment"),
-        window=window,
-        entries=tuple(entries),
-        notes=_require(doc, "notes", str, "assessment", ""),
-    )
+    subject = doc.get("subject")
+    if type(subject) is not str:
+        subject = _require(doc, "subject", str, "assessment")
+    object_ = doc.get("object")
+    if type(object_) is not str:
+        object_ = _require(doc, "object", str, "assessment")
+    notes = doc.get("notes", "")
+    if type(notes) is not str:
+        notes = _require(doc, "notes", str, "assessment", "")
+    return Assessment(subject, object_, window, tuple(entries), notes)
 
 
 def _entry_from_dict(doc: dict) -> AssessmentEntry:
-    """One entry of an assessment document.  A SchemaError is located
-    relative to the entry (``.value: ...``, ``: missing field ...``), for
-    the caller, which knows the entry's index, to prefix."""
-    raw_links = _require(doc, "evidence", list, "", [])
+    """One entry of an assessment document, read as ``assessment_from_dict``
+    reads the document.  A SchemaError is located relative to the entry
+    (``.value: ...``, ``: missing field ...``), for the caller, which
+    knows the entry's index, to prefix."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    raw_links = doc.get("evidence", [])
+    if type(raw_links) is not list:
+        raw_links = _require(doc, "evidence", list, "", [])
     evidence: list[EvidenceLink] = []
     try:
         for raw in raw_links:
-            evidence.append(EvidenceLink(
-                _parse_date(_require(raw, "date", str, ""), ""),
-                _require(raw, "source", str, ""),
-                _require(raw, "summary", str, "", ""),
-            ))
+            if not isinstance(raw, dict):
+                raise SchemaError(": expected an object")
+            day = raw.get("date")
+            if type(day) is not str:
+                day = _require(raw, "date", str, "")
+            day = _parse_date(day, "")
+            source = raw.get("source")
+            if type(source) is not str:
+                source = _require(raw, "source", str, "")
+            summary = raw.get("summary", "")
+            if type(summary) is not str:
+                summary = _require(raw, "summary", str, "", "")
+            evidence.append(EvidenceLink(day, source, summary))
     except SchemaError as err:
         raise SchemaError(f".evidence[{len(evidence)}]{err}") from None
-    return AssessmentEntry(
-        _require(doc, "property", str, ""), _require(doc, "value", float, ""), evidence
-    )
+    property_id = doc.get("property")
+    if type(property_id) is not str:
+        property_id = _require(doc, "property", str, "")
+    value = doc.get("value")
+    if type(value) is not float:
+        value = _require(doc, "value", float, "")
+    return AssessmentEntry(property_id, value, evidence)
 
 
 def assessment_to_dict(assessment: Assessment) -> dict:

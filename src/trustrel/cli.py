@@ -152,7 +152,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if args.nations is None:
         nation_ids = [n.id for n in store.nations]
     else:
-        nation_ids = [p for p in args.nations.split(",") if p]
+        nation_ids = _stage("nations", _parse_nations, args.nations)
     window = _stage("window", window_from_text, args.window)
     labels = _stage("matrix", store.relation_matrix, nation_ids, window)
     if not nation_ids:
@@ -171,6 +171,15 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             line = " ".join([nation_id.ljust(width)] + [cell.ljust(width) for cell in row])
             print(line.rstrip())
     return EXIT_OK
+
+
+def _parse_nations(text: str) -> list[str]:
+    """The ids of --nations: one CSV record, quoted as ``--format csv``
+    writes ids; empty ids are skipped."""
+    try:
+        return [p for p in next(csv.reader([text]), []) if p]
+    except csv.Error as err:
+        raise ValidationError(f"--nations is not one CSV record: {err}") from None
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
@@ -259,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="render a relation matrix from a store")
     p_matrix.add_argument("--store", required=True)
     p_matrix.add_argument("--nations", default=None,
-                          help="comma-separated nation ids (default: all registered)")
+                          help="comma-separated nation ids, quoted as in CSV "
+                               "(default: all registered)")
     p_matrix.add_argument("--window", required=True, help="date range START:END (ISO dates)")
     p_matrix.add_argument("--format", choices=("text", "csv"), default="text")
     p_matrix.set_defaults(func=cmd_matrix)

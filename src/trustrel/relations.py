@@ -317,8 +317,11 @@ def _record_from_dict(doc: dict, where: str) -> RelationRecord:
     """Rebuild a stored record through the calculus: bounds from the stored
     weights and signs, the label from the stored trust mass, each equal to
     what was stored, and a strength no smaller than the trust mass's
-    magnitude.  Masses and band tables are not stored, so ``no_hostile``
-    and ``band_label`` are only type-checked."""
+    magnitude.  Strength minus trust mass is twice the weighted mass of
+    the negatively signed categories, so when only hostile may be
+    negative a ``no_hostile`` record has strength equal to its trust
+    mass.  Band tables are not stored, so ``band_label`` is only
+    type-checked."""
     weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float, where))
     signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int, where))
     raw_eval, eval_where = _require(doc, "evaluation", dict, where), f"{where}.evaluation"
@@ -335,7 +338,7 @@ def _record_from_dict(doc: dict, where: str) -> RelationRecord:
     strength = _require(raw_eval, "strength", float, eval_where)
     if strength < abs(trust_mass) - TOLERANCE:
         raise SchemaError(f"{eval_where}.strength: {strength} is below |trust mass| {abs(trust_mass)}")
-    return RelationRecord(
+    record = RelationRecord(
         subject=_require(doc, "subject", str, where),
         object=_require(doc, "object", str, where),
         window=window_from_dict(_require(doc, "window", dict, where), f"{where}.window"),
@@ -351,6 +354,12 @@ def _record_from_dict(doc: dict, where: str) -> RelationRecord:
         signs=signs,
         assessment_ref=_require(doc, "assessment_ref", str, where, None),
     )
+    if (record.evaluation.no_hostile and signs.neutral == signs.friendly == 1
+            and abs(strength - trust_mass) > TOLERANCE):
+        raise SchemaError(
+            f"{eval_where}.no_hostile: true, but strength {strength} is not the trust mass {trust_mass}"
+        )
+    return record
 
 
 def _fields(doc: dict, key: str, names, kind: type, where: str) -> dict:

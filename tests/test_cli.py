@@ -202,6 +202,33 @@ class TestMatrix:
         assert [len(row) for row in rows] == [4] * 4
         assert rows[0][1:] == [row[0] for row in rows[1:]] == sorted(ids)
 
+    def test_csv_header_names_the_same_nations(self, tmp_path, capsys):
+        store = tr.RelationStore()
+        for nation_id in ["USA", "GBR,UK", 'FR"A']:
+            store.register_nation(tr.Nation(nation_id))
+        path = tmp_path / "store.json"
+        store.save(path)
+        args = ["matrix", "--store", str(path), "--window", "2001-01-01:2005-12-31",
+                "--format", "csv"]
+        assert main(args) == 0
+        matrix = capsys.readouterr().out
+        header = matrix.splitlines()[0]
+        assert header == 'subject\\object,"FR""A","GBR,UK",USA'
+        nations = header.partition(",")[2]
+        assert main(args + ["--nations", nations]) == 0
+        assert capsys.readouterr().out == matrix
+        # plain lists and empty parts read as before
+        assert main(args + ["--nations", ',USA,,"GBR,UK"']) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["subject\\object", "USA", "GBR,UK"]
+
+    def test_nations_not_one_csv_record(self, store_path, capsys):
+        code = main(["matrix", "--store", store_path, "--nations", "USA\nGBR,FRA",
+                     "--window", "2001-01-01:2005-12-31"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: nations: --nations is not one CSV record: ")
+
     def test_unknown_nation_named(self, store_path, capsys):
         code = main(
             ["matrix", "--store", store_path, "--nations", "USA,XYZ",

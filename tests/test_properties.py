@@ -1,15 +1,21 @@
 """Property-based tests for the calculus invariants."""
 
+import copy
+import dataclasses
 import datetime as dt
 import json
 import pathlib
+import pickle
+import sys
 import tempfile
+import threading
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 import trustrel as tr
+import trustrel.catalog
 from trustrel import RelationCategory as RC
 from trustrel.algebra import TOLERANCE
 from trustrel.catalog import CAP_MODES
@@ -692,6 +698,111 @@ def test_one_scan_matches_separate_aggregate_and_validate(assessment, mode):
     got = _outcome(lambda: store.evaluate_relation("AAA", "BBB", assessment, CATALOG, weights,
                                                    mode=mode).evaluation)
     assert got == _outcome(lambda: _reference_evaluate_relation(assessment, CATALOG, mode, weights))
+
+
+# --- masses kept by a clean scan against a never-scanned copy ---------------
+
+ROTATED = tr.PropertyCatalog("rotated", tuple(
+    dataclasses.replace(p, category=tr.CATEGORIES[(tr.CATEGORIES.index(p.category) + 1) % 3])
+    for p in CATALOG.properties
+))
+
+
+def _results(assessment, weights, signs, specs, mode):
+    """What aggregate, report and sweeps return for ``assessment`` in
+    ``mode``: masses bit for bit, the report and its three renderings,
+    each sweep's rows and renderings; or the error each raises."""
+    def masses():
+        m = tr.aggregate_masses(assessment, CATALOG, mode)
+        return [v.hex() for v in (m.hostile, m.neutral, m.friendly)]
+
+    def report():
+        r = tr.build_report(CATALOG, assessment, weights, signs, mode=mode)
+        return r, r.to_json(), r.to_text(), r.to_csv()
+
+    return [_outcome(masses), _outcome(report)] + [
+        _rendered(lambda: tr.run_whatif(CATALOG, assessment, weights, spec, signs, mode))
+        for spec in specs
+    ]
+
+
+@given(
+    swept_assessments(),
+    st.one_of(zero_prone_weights(), weight_vectors()),
+    sign_configs,
+    st.sampled_from(CAP_MODES),
+)
+@settings(max_examples=200, deadline=None)
+def test_kept_masses_change_nothing_a_later_call_returns(case, weights, signs, mode):
+    assessment, category, target, grid = case
+    specs = (tr.SensitivitySpec("weight", category.value, *grid),
+             tr.SensitivitySpec("property", target, *grid))
+
+    def unscanned():
+        return _results(dataclasses.replace(assessment), weights, signs, specs, mode)
+
+    # a scan with an equal catalog that is another object, with one that
+    # files each category's properties under the next category, or in the
+    # other mode keeps masses (when clean) that no call in ``mode`` may be served
+    twin = tr.PropertyCatalog(CATALOG.version, CATALOG.properties)
+    other = "free" if mode == "strict" else "strict"
+    for scan_catalog, scan_mode in ((twin, mode), (ROTATED, mode), (CATALOG, other)):
+        tr.validate_assessment(assessment, scan_catalog, scan_mode)
+        assert _results(assessment, weights, signs, specs, mode) == unscanned()
+    tr.validate_assessment(assessment, CATALOG, mode)
+    assert _results(assessment, weights, signs, specs, mode) == unscanned()
+    fresh = dataclasses.replace(assessment)
+    assert assessment == fresh and hash(assessment) == hash(fresh)
+    assert repr(assessment) == repr(fresh)
+    assert tr.assessment_to_dict(assessment) == tr.assessment_to_dict(fresh)
+    assert dataclasses.asdict(assessment) == dataclasses.asdict(fresh)
+    assert pickle.dumps(assessment) == pickle.dumps(fresh)
+    assert vars(copy.deepcopy(assessment)) == vars(fresh)
+
+
+def test_validate_then_report_and_sweep_scan_once(monkeypatch, usa_assessment):
+    scans = []
+    scan = trustrel.catalog._scan
+    monkeypatch.setattr(trustrel.catalog, "_scan", lambda *args: scans.append(args) or scan(*args))
+    assessment = dataclasses.replace(usa_assessment)
+    weights = tr.WeightVector(0.4, 0.2, 0.4)
+    assert tr.validate_assessment(assessment, CATALOG).ok
+    tr.build_report(CATALOG, assessment, weights)
+    assert len(scans) == 1
+    tr.run_whatif(CATALOG, assessment, weights, tr.SensitivitySpec("weight", "hostile", 0, 1, 0.5))
+    assert len(scans) == 1
+    tr.build_report(CATALOG, assessment, weights, mode="free")
+    assert len(scans) == 2
+
+
+def test_threads_sharing_an_assessment_get_their_own_masses(usa_assessment):
+    assessment = dataclasses.replace(usa_assessment)
+    keys = [(c, m) for c in (CATALOG, ROTATED) for m in CAP_MODES]
+    want = {key: tr.aggregate_masses(dataclasses.replace(assessment), *key) for key in keys}
+    assert want[CATALOG, "strict"] != want[ROTATED, "strict"]
+    errors = []
+
+    def work(key):
+        try:
+            for i in range(500):
+                if i % 2:
+                    assert tr.validate_assessment(assessment, *key).ok
+                assert tr.aggregate_masses(assessment, *key) == want[key]
+        except Exception as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(keys[i % len(keys)],)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 # --- the pair-keyed store against the flat scan it replaced ------------------

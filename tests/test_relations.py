@@ -392,6 +392,9 @@ STORE_DEFECTS = {
                                       _set("records", 1, "evaluation", "strength", value=0.0)),
     "integer too large for a float": ("store.records[1].evaluation.strength",
                                       _set("records", 1, "evaluation", "strength", value=10**400)),
+    "no_hostile with strength apart from the trust mass": (
+        "store.records[1].evaluation.no_hostile",
+        _set("records", 1, "evaluation", "strength", value=0.9)),
 }
 
 
