@@ -14,12 +14,26 @@ the two coincide precisely when no hostile evidence contributed.
 
 All functions here are pure and operate on immutable value types, so
 they are safe to call from any number of threads.
+
+Every frozen value type built per document, entry or grid point is
+declared with ``_frozen``: ``dataclass(frozen=True)`` with an
+``__init__`` of the same signature and defaults that writes each field
+straight into the instance dict, then calls ``__post_init__`` if the
+class has one.  The frozen dataclass ``__init__`` instead stores each
+field through ``object.__setattr__``, a call per field.  Equality,
+hashing, ``repr``, immutability, ``dataclasses.fields``/``replace`` and
+pickling are the dataclass's own either way.  The types built once at
+set-up and read on every document (``WeightVector``, ``ScalarConfig``,
+``PropertyDef`` and ``PropertyCatalog``) stay plain frozen dataclasses:
+on CPython 3.11 and 3.12 reading an attribute of an instance whose dict
+was written takes about 35 ns, against 14 ns when its fields were
+stored through ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from .errors import ValidationError
@@ -47,6 +61,32 @@ CATEGORIES = (
 )
 
 
+def _frozen(cls: type) -> type:
+    """``dataclass(frozen=True)`` with a generated ``__init__`` that writes
+    the fields into the instance dict (see the module docstring).  Field
+    defaults must be plain values, and no field may be named ``self`` or
+    ``fields``."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    namespace = {"__name__": cls.__module__}
+    declared = fields(cls)
+    params, body = [], ["fields = self.__dict__"]
+    for f in declared:
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"fields[{f.name!r}] = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in declared}, "return": None}
+    cls.__init__ = init
+    return cls
+
+
 class _Fields:
     """Mixin for value types whose dict form is their fields, in order."""
 
@@ -70,9 +110,12 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for name, weight in vars(self).items():
-            if not 0.0 <= weight <= 1.0:
-                raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
+        # one test for the common case; the walk only names the first failure
+        if not (0.0 <= self.hostile <= 1.0 and 0.0 <= self.neutral <= 1.0
+                and 0.0 <= self.friendly <= 1.0):
+            for name, weight in vars(self).items():
+                if not 0.0 <= weight <= 1.0:
+                    raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
         total = self.hostile + self.neutral + self.friendly
         if abs(total - 1.0) > TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total}")
@@ -92,16 +135,19 @@ class ScalarConfig(_PerCategory):
     friendly: int = 1
 
     def __post_init__(self) -> None:
-        for name, sign in vars(self).items():
-            if type(sign) is not int or sign not in (-1, 1):
-                raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
+        if not (type(self.hostile) is int and self.hostile in (-1, 1)
+                and type(self.neutral) is int and self.neutral in (-1, 1)
+                and type(self.friendly) is int and self.friendly in (-1, 1)):
+            for name, sign in vars(self).items():
+                if type(sign) is not int or sign not in (-1, 1):
+                    raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
 
 
 #: Hostile counts against the score; neutral and friendly count toward it.
 DEFAULT_SIGNS = ScalarConfig()
 
 
-@dataclass(frozen=True)
+@_frozen
 class ScalarBounds(_Fields):
     """Interval scale a trust mass lands on, with its neutral middle band.
 
@@ -132,7 +178,7 @@ class ScalarBounds(_Fields):
             )
 
 
-@dataclass(frozen=True)
+@_frozen
 class CategoryMassVector(_PerCategory):
     """Aggregated evidence mass per category, each in [0, 1].
 
@@ -144,9 +190,12 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        for name, mass in vars(self).items():
-            if not -TOLERANCE <= mass <= 1.0 + TOLERANCE:
-                raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
+        low, high = -TOLERANCE, 1.0 + TOLERANCE
+        if not (low <= self.hostile <= high and low <= self.neutral <= high
+                and low <= self.friendly <= high):
+            for name, mass in vars(self).items():
+                if not low <= mass <= high:
+                    raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
 
 
 def compute_bounds(
@@ -236,7 +285,7 @@ def _check_on_scale(trust_mass: float, lower: float, upper: float) -> None:
         raise ValidationError(f"trust mass {trust_mass} lies outside the scale [{lower}, {upper}]")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Band:
     """One labelled sub-interval of a category's region on the scale."""
 
@@ -246,7 +295,7 @@ class Band:
     parent: RelationCategory
 
 
-@dataclass(frozen=True)
+@_frozen
 class BandTable:
     """Ordered, contiguous refinement of the scale into labelled bands.
 
@@ -258,8 +307,8 @@ class BandTable:
 
     bands: tuple[Band, ...]
 
-    def __init__(self, bands) -> None:
-        object.__setattr__(self, "bands", tuple(bands))
+    def __post_init__(self) -> None:
+        self.__dict__["bands"] = tuple(self.bands)
 
     def validate_against(self, bounds: ScalarBounds) -> None:
         """Raise ValidationError unless this table tiles ``bounds``."""
@@ -273,18 +322,20 @@ class BandTable:
             raise ValidationError(
                 f"last band ends at {self.bands[-1].high}, scale ends at {bounds.upper}"
             )
-        regions = {
-            RelationCategory.HOSTILE: (bounds.lower, bounds.middle_band_low),
-            RelationCategory.NEUTRAL: (bounds.middle_band_low, bounds.middle_band_high),
-            RelationCategory.FRIENDLY: (bounds.middle_band_high, bounds.upper),
-        }
+        # one region per category, in CATEGORIES order: indexing skips
+        # hashing a RelationCategory, which Enum does in Python
+        regions = (
+            (bounds.lower, bounds.middle_band_low),
+            (bounds.middle_band_low, bounds.middle_band_high),
+            (bounds.middle_band_high, bounds.upper),
+        )
         for band in self.bands:
             if not band.low < band.high:
                 raise ValidationError(
                     f"band {band.label!r} must have low < high, got "
                     f"[{band.low}, {band.high}]"
                 )
-            region_low, region_high = regions[band.parent]
+            region_low, region_high = regions[CATEGORIES.index(band.parent)]
             if band.low < region_low - TOLERANCE or band.high > region_high + TOLERANCE:
                 raise ValidationError(
                     f"band {band.label!r} [{band.low}, {band.high}] leaves its "
@@ -317,7 +368,7 @@ def classify_extended(trust_mass: float, bands: BandTable) -> str:
     return last.label
 
 
-@dataclass(frozen=True)
+@_frozen
 class TrustEvaluation:
     """Full outcome of one evaluation: score, strength, label, scale."""
 
@@ -369,7 +420,7 @@ def evaluate(
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class StrengthInterpretation(_Fields):
     """Qualitative reading of a strength value, as independent flags.
 

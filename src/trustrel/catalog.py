@@ -20,13 +20,13 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory
+from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _frozen
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
 
 
-@dataclass(frozen=True)
+@_frozen
 class DateWindow:
     """Closed date range an assessment's evidence was gathered over."""
 
@@ -99,10 +99,7 @@ class PropertyCatalog:
         return tuple(p for p in self.properties if p.category is category)
 
 
-# EvidenceLink and AssessmentEntry are built once per item read, so their
-# __init__ stores the fields straight into the instance dict, skipping the
-# frozen dataclass __init__'s object.__setattr__ call per field.
-@dataclass(frozen=True, init=False)
+@_frozen
 class EvidenceLink:
     """Pointer to one event backing an observed property value."""
 
@@ -110,14 +107,8 @@ class EvidenceLink:
     source: str
     summary: str = ""
 
-    def __init__(self, date: date, source: str, summary: str = "") -> None:
-        fields = self.__dict__
-        fields["date"] = date
-        fields["source"] = source
-        fields["summary"] = summary
 
-
-@dataclass(frozen=True, init=False)
+@_frozen
 class AssessmentEntry:
     """Observed value for one catalog property, with its evidence."""
 
@@ -125,20 +116,15 @@ class AssessmentEntry:
     value: float
     evidence: tuple[EvidenceLink, ...] = ()
 
-    def __init__(self, property_id: str, value: float,
-                 evidence: tuple[EvidenceLink, ...] = ()) -> None:
-        evidence = tuple(evidence)
-        if not 0.0 <= value <= 1.0:
+    def __post_init__(self) -> None:
+        self.__dict__["evidence"] = tuple(self.evidence)
+        if not 0.0 <= self.value <= 1.0:
             raise ValidationError(
-                f"observed value for {property_id!r} must lie in [0, 1], got {value}"
+                f"observed value for {self.property_id!r} must lie in [0, 1], got {self.value}"
             )
-        fields = self.__dict__
-        fields["property_id"] = property_id
-        fields["value"] = value
-        fields["evidence"] = evidence
 
 
-@dataclass(frozen=True)
+@_frozen
 class Assessment:
     """Observed property values of one directed pair over one window."""
 
@@ -149,7 +135,7 @@ class Assessment:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        self.__dict__["entries"] = tuple(self.entries)
 
     def __getstate__(self) -> dict:
         # masses a scan kept stay with this object: a copy or pickle scans again
@@ -176,8 +162,10 @@ class AssessmentReport:
 
 
 #: Instance-dict key of the masses a clean scan keeps with an assessment,
-#: as one ``(catalog, mode, masses)`` tuple.  Not a dataclass field, so
-#: ``==``, ``hash``, ``repr``, ``replace`` and the document never see it.
+#: as one ``(catalog, mode, masses, reported)`` tuple, where ``reported``
+#: says the scan was ``validate_assessment``'s, which also checks evidence
+#: dates.  Not a dataclass field, so ``==``, ``hash``, ``repr``,
+#: ``replace`` and the document never see it.
 _KEPT_MASSES = "_kept_masses"
 
 
@@ -216,6 +204,24 @@ def validate_assessment(
     return report
 
 
+def _valid_masses(
+    assessment: Assessment, catalog: PropertyCatalog, mode: str
+) -> CategoryMassVector:
+    """The masses of an assessment that ``validate_assessment`` finds no
+    violation in; otherwise ValidationError listing every violation.
+    Masses kept by an earlier clean ``validate_assessment`` scan with this
+    same catalog object and mode are returned unscanned; those kept by
+    ``aggregate_masses`` are not, since its scan skips evidence dates."""
+    kept = assessment.__dict__.get(_KEPT_MASSES)
+    if kept is not None and kept[0] is catalog and kept[1] == mode and kept[3]:
+        return kept[2]
+    report = AssessmentReport()
+    masses = _scan(assessment, catalog, mode, report)
+    if not report.ok:
+        raise ValidationError("assessment is invalid: " + "; ".join(report.violations))
+    return masses
+
+
 def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
           report: AssessmentReport | None = None) -> CategoryMassVector | None:
     """The one pass behind ``aggregate_masses`` and ``validate_assessment``.
@@ -223,11 +229,12 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
     Without a report the first violation raises ValidationError.  With
     one, every violation and warning is collected in entry order, and
     the masses are returned only when there is no violation.  Masses
-    returned are kept with the assessment for ``aggregate_masses``,
-    keyed on the catalog object and the mode: the assessment, its
-    entries and the catalog are frozen, so the same scan would return
-    them again.  They are published as one tuple, so readers need no
-    lock; a scan that finds a violation keeps nothing.
+    returned are kept with the assessment for ``aggregate_masses`` and
+    ``_valid_masses``, keyed on the catalog object and the mode and marked
+    with whether a report was kept: the assessment, its entries and the
+    catalog are frozen, so the same scan would return them again.  They
+    are published as one tuple, so readers need no lock; a scan that
+    finds a violation keeps nothing.
     """
     if mode not in CAP_MODES:
         raise ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
@@ -273,7 +280,7 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
     if report is not None and not report.ok:
         return None
     masses = CategoryMassVector(*totals)
-    assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses)
+    assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses, report is not None)
     return masses
 
 
@@ -334,8 +341,15 @@ def _require(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     return value
 
 
+#: Each category by its document name, read without an Enum call.
+_CATEGORY_BY_NAME = {c.value: c for c in CATEGORIES}
+
+
 def _parse_category(raw: str, where: str) -> RelationCategory:
-    try:
+    category = _CATEGORY_BY_NAME.get(raw)
+    if category is not None:
+        return category
+    try:  # for the error an unknown name raises
         return RelationCategory(raw)
     except ValueError:
         valid = ", ".join(c.value for c in CATEGORIES)
@@ -387,10 +401,23 @@ def catalog_to_dict(catalog: PropertyCatalog) -> dict:
 
 
 def window_from_dict(doc: dict, where: str) -> DateWindow:
-    return DateWindow(
-        start=_parse_date(_require(doc, "start", str, where), f"{where}.start"),
-        end=_parse_date(_require(doc, "end", str, where), f"{where}.end"),
-    )
+    """Read a window object as ``assessment_from_dict`` reads a document;
+    errors are located at ``where``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return DateWindow(_date_field(doc, "start", where), _date_field(doc, "end", where))
+
+
+def _date_field(doc: dict, key: str, where: str) -> date:
+    """Date field ``key`` of the object ``doc``, located at ``where`` on
+    failure only."""
+    raw = doc.get(key)
+    if type(raw) is not str:
+        raw = _require(doc, key, str, where)
+    try:
+        return _parse_date(raw, "")
+    except SchemaError as err:
+        raise SchemaError(f"{where}.{key}{err}") from None
 
 
 def window_to_dict(window: DateWindow) -> dict:

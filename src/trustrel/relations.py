@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -28,26 +27,27 @@ from .algebra import (
     ScalarConfig,
     TrustEvaluation,
     WeightVector,
+    _frozen,
     classify,
     compute_bounds,
     evaluate,
 )
 from .catalog import (
     Assessment,
-    AssessmentReport,
     DateWindow,
     PropertyCatalog,
+    _MISSING,
     _load_json,
     _require,
     _save_json,
-    _scan,
+    _valid_masses,
     window_from_dict,
     window_to_dict,
 )
 from .errors import SchemaError, ValidationError
 
 
-@dataclass(frozen=True)
+@_frozen
 class Nation:
     """A sovereign state; UN membership is a caller-supplied flag."""
 
@@ -60,7 +60,7 @@ class Nation:
             raise ValidationError("nation id must be non-empty")
 
 
-@dataclass(frozen=True)
+@_frozen
 class RelationRecord:
     """One directed perception over one window: evaluated or undefined."""
 
@@ -155,12 +155,7 @@ class RelationStore:
                 f"assessment covers {assessment.subject!r}->{assessment.object!r}, "
                 f"not {subject!r}->{object!r}"
             )
-        report = AssessmentReport()
-        masses = _scan(assessment, catalog, mode, report)
-        if not report.ok:
-            raise ValidationError(
-                "assessment is invalid: " + "; ".join(report.violations)
-            )
+        masses = _valid_masses(assessment, catalog, mode)
         evaluation = evaluate(masses, weights, signs, bands=bands)
         record = RelationRecord(
             subject=subject,
@@ -257,27 +252,28 @@ class RelationStore:
     def from_dict(cls, doc: dict) -> "RelationStore":
         """Rebuild a store from its document form, re-deriving every record;
         a nation or record that does not parse, breaks an invariant or
-        disagrees with the calculus is a SchemaError naming it."""
-        store, where = cls(), "store"
-        try:
-            for i, raw in enumerate(_require(doc, "nations", list, "store")):
-                where = f"store.nations[{i}]"
-                store.register_nation(Nation(
-                    id=_require(raw, "id", str, where),
-                    name=_require(raw, "name", str, where, ""),
-                    un_member=_require(raw, "un_member", bool, where, True),
-                ))
-            for i, raw in enumerate(_require(doc, "records", list, "store")):
-                where = f"store.records[{i}]"
-                record = _record_from_dict(raw, where)
+        disagrees with the calculus is a SchemaError naming it.  Objects
+        and fields are read as ``assessment_from_dict`` reads them: a
+        location is built only for the error."""
+        if not isinstance(doc, dict):
+            raise SchemaError("store: expected an object")
+        store = cls()
+        for i, raw in enumerate(_field(doc, "nations", list, "store")):
+            try:
+                store.register_nation(_nation_from_dict(raw))
+            except (SchemaError, ValidationError) as err:
+                raise _located(f"store.nations[{i}]", err) from None
+        for i, raw in enumerate(_field(doc, "records", list, "store")):
+            try:
+                record = _record_from_dict(raw)
                 store._check_pair(record.subject, record.object)
                 windows = store._records.setdefault((record.subject, record.object), {})
                 if record.window in windows:
                     raise ValidationError(f"duplicate record for {record.subject}->"
                                           f"{record.object}@{record.window}")
                 windows[record.window] = record
-        except ValidationError as err:
-            raise SchemaError(f"{where}: {err}") from None
+            except (SchemaError, ValidationError) as err:
+                raise _located(f"store.records[{i}]", err) from None
         return store
 
     def save(self, path: str | Path) -> None:
@@ -313,7 +309,23 @@ def _record_to_dict(record: RelationRecord) -> dict:
     }
 
 
-def _record_from_dict(doc: dict, where: str) -> RelationRecord:
+def _located(where: str, err: SchemaError | ValidationError) -> SchemaError:
+    """``err``, raised reading the store item at ``where``, as a SchemaError
+    naming it; a SchemaError's own location is relative to the item."""
+    if isinstance(err, SchemaError):
+        return SchemaError(f"{where}{err}")
+    return SchemaError(f"{where}: {err}")
+
+
+def _nation_from_dict(doc: dict) -> Nation:
+    """One nation of a store document; errors are relative to it."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    return Nation(_field(doc, "id", str, ""), _field(doc, "name", str, "", ""),
+                  _field(doc, "un_member", bool, "", True))
+
+
+def _record_from_dict(doc: dict) -> RelationRecord:
     """Rebuild a stored record through the calculus: bounds from the stored
     weights and signs, the label from the stored trust mass, each equal to
     what was stored, and a strength no smaller than the trust mass's
@@ -321,48 +333,59 @@ def _record_from_dict(doc: dict, where: str) -> RelationRecord:
     the negatively signed categories, so when only hostile may be
     negative a ``no_hostile`` record has strength equal to its trust
     mass.  Band tables are not stored, so ``band_label`` is only
-    type-checked."""
-    weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float, where))
-    signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int, where))
-    raw_eval, eval_where = _require(doc, "evaluation", dict, where), f"{where}.evaluation"
+    type-checked.  Errors are relative to the record, for the caller,
+    which knows its index, to locate."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float))
+    signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int))
+    raw_eval = _field(doc, "evaluation", dict, "")
     bounds = compute_bounds(weights, signs)
-    stored = _fields(raw_eval, "bounds", bounds.as_dict(), float, eval_where)
+    stored = _fields(raw_eval, "bounds", bounds.as_dict(), float, ".evaluation")
     if stored != bounds.as_dict():
-        raise SchemaError(f"{eval_where}.bounds: {stored} are not the bounds of the weights and signs")
-    trust_mass = _require(raw_eval, "trust_mass", float, eval_where)
+        raise SchemaError(f".evaluation.bounds: {stored} are not the bounds of the weights and signs")
+    trust_mass = _field(raw_eval, "trust_mass", float, ".evaluation")
     label = classify(trust_mass, bounds)
-    stored = _require(raw_eval, "label", str, eval_where)
+    stored = _field(raw_eval, "label", str, ".evaluation")
     if stored != label.value:
-        raise SchemaError(f"{eval_where}.label: trust mass {trust_mass} is {label}, not {stored!r}")
+        raise SchemaError(f".evaluation.label: trust mass {trust_mass} is {label}, not {stored!r}")
     # trust mass sums +p or -p over the terms p whose sum is the strength
-    strength = _require(raw_eval, "strength", float, eval_where)
+    strength = _field(raw_eval, "strength", float, ".evaluation")
     if strength < abs(trust_mass) - TOLERANCE:
-        raise SchemaError(f"{eval_where}.strength: {strength} is below |trust mass| {abs(trust_mass)}")
-    record = RelationRecord(
-        subject=_require(doc, "subject", str, where),
-        object=_require(doc, "object", str, where),
-        window=window_from_dict(_require(doc, "window", dict, where), f"{where}.window"),
-        evaluation=TrustEvaluation(
-            trust_mass=trust_mass,
-            strength=strength,
-            label=label,
-            bounds=bounds,
-            no_hostile=_require(raw_eval, "no_hostile", bool, eval_where),
-            band_label=_require(raw_eval, "band_label", str, eval_where, None),
-        ),
-        weights=weights,
-        signs=signs,
-        assessment_ref=_require(doc, "assessment_ref", str, where, None),
-    )
-    if (record.evaluation.no_hostile and signs.neutral == signs.friendly == 1
+        raise SchemaError(f".evaluation.strength: {strength} is below |trust mass| {abs(trust_mass)}")
+    subject = _field(doc, "subject", str, "")
+    object_ = _field(doc, "object", str, "")
+    window = window_from_dict(_field(doc, "window", dict, ""), ".window")
+    no_hostile = _field(raw_eval, "no_hostile", bool, ".evaluation")
+    band_label = _field(raw_eval, "band_label", str, ".evaluation", None)
+    evaluation = TrustEvaluation(trust_mass, strength, label, bounds, no_hostile, band_label)
+    assessment_ref = _field(doc, "assessment_ref", str, "", None)
+    record = RelationRecord(subject, object_, window, evaluation, weights, signs, assessment_ref)
+    if (no_hostile and signs.neutral == signs.friendly == 1
             and abs(strength - trust_mass) > TOLERANCE):
         raise SchemaError(
-            f"{eval_where}.no_hostile: true, but strength {strength} is not the trust mass {trust_mass}"
+            f".evaluation.no_hostile: true, but strength {strength} is not the trust mass {trust_mass}"
         )
     return record
 
 
-def _fields(doc: dict, key: str, names, kind: type, where: str) -> dict:
-    """The fields ``names`` of the object ``doc[key]``, each a ``kind``."""
-    raw, where = _require(doc, key, dict, where), f"{where}.{key}"
-    return {name: _require(raw, name, kind, where) for name in names}
+def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
+    """``_require(doc, key, kind, where, default)``, called only for a field
+    that is absent or not exactly a ``kind``."""
+    value = doc.get(key, default)
+    if type(value) is kind:
+        return value
+    return _require(doc, key, kind, where, default)
+
+
+def _fields(doc: dict, key: str, names, kind: type, where: str = "") -> dict:
+    """The fields ``names`` of the object ``doc[key]``, each a ``kind``;
+    errors are located at ``where``."""
+    raw = _field(doc, key, dict, where)
+    fields = {}
+    for name in names:
+        value = raw.get(name)
+        if type(value) is not kind:
+            value = _require(raw, name, kind, f"{where}.{key}")
+        fields[name] = value
+    return fields

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -32,6 +31,7 @@ from .algebra import (
     _check_strength,
     _classify,
     _Fields,
+    _frozen,
     compute_bounds,
     evaluate,
     interpret_strength,
@@ -48,13 +48,13 @@ from .catalog import (
     _total_breach,
     aggregate_masses,
 )
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 
 #: Decimal places used by the text and CSV renderings.
 TEXT_PRECISION = 6
 
 
-@dataclass(frozen=True)
+@_frozen
 class EvaluationReport:
     """One evaluation with its inputs echoed for audit."""
 
@@ -93,19 +93,19 @@ class EvaluationReport:
 
     def to_text(self) -> str:
         """Fixed-precision rendering in pipeline order."""
-        p = TEXT_PRECISION
+        p = f".{TEXT_PRECISION}f"
         flags = self.interpretation
         lines = [
-            f"weights     hostile={self.weights.hostile:.{p}f}  "
-            f"neutral={self.weights.neutral:.{p}f}  friendly={self.weights.friendly:.{p}f}",
+            f"weights     hostile={self.weights.hostile:{p}}  "
+            f"neutral={self.weights.neutral:{p}}  friendly={self.weights.friendly:{p}}",
             f"signs       hostile={self.signs.hostile:+d}  "
             f"neutral={self.signs.neutral:+d}  friendly={self.signs.friendly:+d}",
-            f"bounds      lower={self.bounds.lower:.{p}f}  upper={self.bounds.upper:.{p}f}  "
-            f"middle=[{self.bounds.middle_band_low:.{p}f}, {self.bounds.middle_band_high:.{p}f}]",
-            f"masses      hostile={self.masses.hostile:.{p}f}  "
-            f"neutral={self.masses.neutral:.{p}f}  friendly={self.masses.friendly:.{p}f}",
-            f"trust_mass  {self.trust_mass:.{p}f}",
-            f"strength    {self.strength:.{p}f}",
+            f"bounds      lower={self.bounds.lower:{p}}  upper={self.bounds.upper:{p}}  "
+            f"middle=[{self.bounds.middle_band_low:{p}}, {self.bounds.middle_band_high:{p}}]",
+            f"masses      hostile={self.masses.hostile:{p}}  "
+            f"neutral={self.masses.neutral:{p}}  friendly={self.masses.friendly:{p}}",
+            f"trust_mass  {self.trust_mass:{p}}",
+            f"strength    {self.strength:{p}}",
             f"label       {self.label}",
         ]
         if self.band_label is not None:
@@ -123,7 +123,7 @@ class EvaluationReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        p = TEXT_PRECISION
+        p = f".{TEXT_PRECISION}f"
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(
@@ -137,14 +137,14 @@ class EvaluationReport:
         )
         writer.writerow(
             [
-                f"{self.weights.hostile:.{p}f}", f"{self.weights.neutral:.{p}f}",
-                f"{self.weights.friendly:.{p}f}",
+                f"{self.weights.hostile:{p}}", f"{self.weights.neutral:{p}}",
+                f"{self.weights.friendly:{p}}",
                 self.signs.hostile, self.signs.neutral, self.signs.friendly,
-                f"{self.bounds.lower:.{p}f}", f"{self.bounds.upper:.{p}f}",
-                f"{self.bounds.middle_band_low:.{p}f}", f"{self.bounds.middle_band_high:.{p}f}",
-                f"{self.masses.hostile:.{p}f}", f"{self.masses.neutral:.{p}f}",
-                f"{self.masses.friendly:.{p}f}",
-                f"{self.trust_mass:.{p}f}", f"{self.strength:.{p}f}",
+                f"{self.bounds.lower:{p}}", f"{self.bounds.upper:{p}}",
+                f"{self.bounds.middle_band_low:{p}}", f"{self.bounds.middle_band_high:{p}}",
+                f"{self.masses.hostile:{p}}", f"{self.masses.neutral:{p}}",
+                f"{self.masses.friendly:{p}}",
+                f"{self.trust_mass:{p}}", f"{self.strength:{p}}",
                 self.label, self.band_label or "",
             ]
         )
@@ -191,7 +191,7 @@ TARGET_KINDS = ("weight", "property")
 MAX_SWEEP_POINTS = 100_001
 
 
-@dataclass(frozen=True)
+@_frozen
 class SensitivitySpec:
     """What to sweep and over which grid.
 
@@ -253,7 +253,7 @@ class SensitivitySpec:
         return abs(self.stop - self.start) / self.step + TOLERANCE
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class SweepRow(_Fields):
     """One grid point: swept input value and the resulting evaluation."""
 
@@ -263,19 +263,8 @@ class SweepRow(_Fields):
     label: str
     flipped: bool
 
-    # built once per grid point: the fields go straight into the instance
-    # dict, not through the frozen __init__'s object.__setattr__ per field
-    def __init__(self, value: float, trust_mass: float, strength: float,
-                 label: str, flipped: bool) -> None:
-        fields = self.__dict__
-        fields["value"] = value
-        fields["trust_mass"] = trust_mass
-        fields["strength"] = strength
-        fields["label"] = label
-        fields["flipped"] = flipped
 
-
-@dataclass(frozen=True)
+@_frozen
 class SweepResult:
     """All rows of a sweep plus the first classification flip, if any."""
 
@@ -298,31 +287,32 @@ class SweepResult:
         return _dumps(self.to_dict())
 
     def to_text(self) -> str:
-        p = TEXT_PRECISION
+        p = f".{TEXT_PRECISION}f"
+        p10, p12 = f">10{p}", f">12{p}"
         lines = [f"{'value':>10}  {'trust_mass':>12}  {'strength':>10}  label"]
         for row in self.rows:
             marker = "  *flip*" if row.flipped else ""
             lines.append(
-                f"{row.value:>10.{p}f}  {row.trust_mass:>12.{p}f}  "
-                f"{row.strength:>10.{p}f}  {row.label}{marker}"
+                f"{row.value:{p10}}  {row.trust_mass:{p12}}  "
+                f"{row.strength:{p10}}  {row.label}{marker}"
             )
         lines.append(f"base label: {self.base_label}")
         if self.first_flip is None:
             lines.append("no flip in sweep")
         else:
-            lines.append(f"first flip at {self.target}={self.first_flip:.{p}f}")
+            lines.append(f"first flip at {self.target}={self.first_flip:{p}}")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        p = TEXT_PRECISION
+        p = f".{TEXT_PRECISION}f"
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["value", "trust_mass", "strength", "label", "flipped"])
         for row in self.rows:
             writer.writerow(
                 [
-                    f"{row.value:.{p}f}", f"{row.trust_mass:.{p}f}",
-                    f"{row.strength:.{p}f}", row.label,
+                    f"{row.value:{p}}", f"{row.trust_mass:{p}}",
+                    f"{row.strength:{p}}", row.label,
                     _flag(row.flipped),
                 ]
             )
@@ -429,10 +419,11 @@ def run_whatif(
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
+    base_label = base.label
     masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
     if spec.target_kind == "weight":
         frame = _weight_frame(weights, spec.target_category(), signs, spec)
-        rows, first_flip = _weight_rows(frame, masses, signs, base.label)
+        rows, first_flip = _weight_rows(frame, masses, signs, base_label)
     else:
         w = [weights.hostile, weights.neutral, weights.friendly]
         sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
@@ -468,7 +459,7 @@ def run_whatif(
             strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
             label = _classify(trust_mass, lower, upper, band_low, band_high)
             _check_strength(strength)
-            flipped = label is not base.label
+            flipped = label is not base_label
             if flipped and first_flip is None:
                 first_flip = value
             # _value_ is the member's value, read without the Enum.value property
@@ -476,7 +467,7 @@ def run_whatif(
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,
-        base_label=base.label.value,
+        base_label=base_label.value,
         rows=tuple(rows),
         first_flip=first_flip,
     )
@@ -517,19 +508,42 @@ def _weight_rows(
 # --- band table documents ----------------------------------------------------
 
 def band_table_from_dict(doc: dict) -> BandTable:
-    """Build a band table from its document form."""
-    bands = []
-    for i, raw in enumerate(_require(doc, "bands", list, "band_table")):
-        where = f"band_table.bands[{i}]"
-        bands.append(
-            Band(
-                label=_require(raw, "label", str, where),
-                low=_require(raw, "low", float, where),
-                high=_require(raw, "high", float, where),
-                parent=_parse_category(_require(raw, "parent", str, where), f"{where}.parent"),
-            )
-        )
+    """Build a band table from its document form, read as
+    ``assessment_from_dict`` reads an assessment: each object checked
+    once, each field read once, in the order bands, then label, low,
+    high and parent in a band."""
+    if not isinstance(doc, dict):
+        raise SchemaError("band_table: expected an object")
+    raw_bands = doc.get("bands")
+    if type(raw_bands) is not list:
+        raw_bands = _require(doc, "bands", list, "band_table")
+    bands: list[Band] = []
+    try:
+        for raw in raw_bands:
+            bands.append(_band_from_dict(raw))
+    except SchemaError as err:  # bands[i] failed: its location is built only now
+        raise SchemaError(f"band_table.bands[{len(bands)}]{err}") from None
     return BandTable(bands)
+
+
+def _band_from_dict(doc: dict) -> Band:
+    """One band of a band table document; a SchemaError is located
+    relative to the band, for the caller to prefix."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    label = doc.get("label")
+    if type(label) is not str:
+        label = _require(doc, "label", str, "")
+    low = doc.get("low")
+    if type(low) is not float:
+        low = _require(doc, "low", float, "")
+    high = doc.get("high")
+    if type(high) is not float:
+        high = _require(doc, "high", float, "")
+    parent = doc.get("parent")
+    if type(parent) is not str:
+        parent = _require(doc, "parent", str, "")
+    return Band(label, low, high, _parse_category(parent, ".parent"))
 
 
 def band_table_to_dict(table: BandTable) -> dict:

@@ -1,6 +1,5 @@
 """Unit tests for catalogs, assessments, and aggregation."""
 
-import copy
 import dataclasses
 import datetime as dt
 import math
@@ -9,6 +8,8 @@ import pytest
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
+
+from document_edits import DELETE, mutated
 
 EXPECTED_CAPS = {
     "h.P1": 0.5, "h.P2": 0.2, "h.P3": 0.075, "h.P4": 0.125, "h.P5": 0.05, "h.P6": 0.05,
@@ -245,7 +246,6 @@ def test_unreadable_document_is_schema_error(tmp_path, load, content, detail):
 
 # --- every read of an assessment document, and the error it reports --------
 
-DELETE = object()
 PIN_DOC = {
     "subject": "USA", "object": "GBR",
     "window": {"start": "2001-01-01", "end": "2005-12-31"},
@@ -336,28 +336,11 @@ READ_ERRORS = [
 ]
 
 
-def _mutated(doc, changes):
-    for path, value in changes:
-        if not path:
-            doc = value
-            continue
-        doc = copy.deepcopy(doc)
-        *head, last = path
-        target = doc
-        for key in head:
-            target = target[key]
-        if value is DELETE:
-            del target[last]
-        else:
-            target[last] = value
-    return doc
-
-
 @pytest.mark.parametrize("changes, kind, message",
                          [case[1:] for case in READ_ERRORS], ids=[case[0] for case in READ_ERRORS])
 def test_assessment_read_error_messages(changes, kind, message):
     with pytest.raises(tr.TrustrelError) as err:
-        tr.assessment_from_dict(_mutated(PIN_DOC, changes))
+        tr.assessment_from_dict(mutated(PIN_DOC, changes))
     assert type(err.value) is kind
     assert str(err.value) == message
 

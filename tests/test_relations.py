@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import trustrel
 import trustrel as tr
 from trustrel.cli import main
 
@@ -73,6 +74,38 @@ class TestEvaluateRelation:
         )
         with pytest.raises(tr.ValidationError, match="h.P9"):
             store.evaluate_relation("USA", "GBR", bad, catalog, CASE_WEIGHTS)
+
+    def test_validated_assessment_is_scanned_once_when_stored(
+        self, store, catalog, usa_assessment, monkeypatch
+    ):
+        scans = []
+        scan = trustrel.catalog._scan
+        monkeypatch.setattr(trustrel.catalog, "_scan",
+                            lambda *args: scans.append(args) or scan(*args))
+        assessment = dataclasses.replace(usa_assessment)
+        assert tr.validate_assessment(assessment, catalog).ok
+        record = store.evaluate_relation("USA", "GBR", assessment, catalog, CASE_WEIGHTS)
+        assert len(scans) == 1
+        assert record == store.evaluate_relation(
+            "USA", "GBR", dataclasses.replace(usa_assessment), catalog, CASE_WEIGHTS)
+        assert len(scans) == 2
+        # another mode, or an equal catalog that is another object, scans again
+        store.evaluate_relation("USA", "GBR", assessment, catalog, CASE_WEIGHTS, mode="free")
+        twin = tr.PropertyCatalog(catalog.version, catalog.properties)
+        store.evaluate_relation("USA", "GBR", assessment, twin, CASE_WEIGHTS)
+        assert len(scans) == 4
+
+    def test_masses_kept_by_aggregation_do_not_skip_the_date_check(self, store, catalog):
+        late = tr.EvidenceLink(dt.date(2009, 1, 1), "wire")
+        assessment = tr.Assessment("USA", "GBR", WINDOW, (tr.AssessmentEntry("f.P1", 0.3, (late,)),))
+        assert tr.aggregate_masses(assessment, catalog).friendly == 0.3
+        with pytest.raises(tr.ValidationError) as err:
+            store.evaluate_relation("USA", "GBR", assessment, catalog, CASE_WEIGHTS)
+        assert str(err.value) == (
+            "assessment is invalid: evidence for 'f.P1' dated 2009-01-01 "
+            "falls outside the window 2001-01-01..2005-12-31"
+        )
+        assert store.records == ()
 
     def test_zero_evidence_is_neutral_not_undefined(self, store, catalog):
         record = store.evaluate_relation(

@@ -12,6 +12,7 @@ import trustrel as tr
 from trustrel import RelationCategory as RC
 from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
 
+from document_edits import DELETE, mutated
 from sweep_reference import replace_entry_value
 
 WINDOW = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
@@ -314,6 +315,61 @@ class TestBandTableDocuments:
     def test_missing_bands_key(self):
         with pytest.raises(tr.SchemaError, match="bands"):
             tr.band_table_from_dict({})
+
+    def test_int_edges_read_as_floats(self):
+        table = tr.band_table_from_dict(mutated(BAND_DOC, [(B + ("low",), 0)]))
+        assert table.bands[1].low == 0.0 and type(table.bands[1].low) is float
+        assert table == tr.band_table_from_dict(BAND_DOC)
+
+
+# --- every read of a band table document, and the error it reports ----------
+
+BAND_DOC = {"bands": [
+    {"label": "cold", "low": -0.4, "high": 0.0, "parent": "hostile"},
+    {"label": "calm", "low": 0.0, "high": 0.2, "parent": "neutral"},
+]}
+B = ("bands", 1)
+CATEGORY_NAMES = "hostile, neutral, friendly"
+# (case, [(path, new value or DELETE), ...], message): every error is a
+# SchemaError, and the messages are those the reader gave before its
+# location strings became lazy
+BAND_READ_ERRORS = [
+    ("document_wrong_type", [((), ["x"])], "band_table: expected an object"),
+    ("bands_missing", [(("bands",), DELETE)], "band_table: missing field 'bands'"),
+    ("bands_wrong_type", [(("bands",), {})], "band_table.bands: expected list, got dict"),
+    ("bands_null", [(("bands",), None)], "band_table.bands: expected list, got NoneType"),
+    ("band_wrong_type", [(B, "calm")], "band_table.bands[1]: expected an object"),
+    ("label_missing", [(B + ("label",), DELETE)], "band_table.bands[1]: missing field 'label'"),
+    ("label_wrong_type", [(B + ("label",), 3)], "band_table.bands[1].label: expected str, got int"),
+    ("low_missing", [(B + ("low",), DELETE)], "band_table.bands[1]: missing field 'low'"),
+    ("low_string", [(B + ("low",), "0.0")],
+     "band_table.bands[1].low: expected a number, got '0.0'"),
+    ("low_too_large", [(B + ("low",), 10 ** 400)],
+     f"band_table.bands[1].low: 1{'0' * 400} is too large for a number"),
+    ("high_missing", [(B + ("high",), DELETE)], "band_table.bands[1]: missing field 'high'"),
+    ("high_bool", [(B + ("high",), True)], "band_table.bands[1].high: expected a number, got True"),
+    ("parent_missing", [(B + ("parent",), DELETE)], "band_table.bands[1]: missing field 'parent'"),
+    ("parent_wrong_type", [(B + ("parent",), 1)],
+     "band_table.bands[1].parent: expected str, got int"),
+    ("parent_unknown", [(B + ("parent",), "Neutral")],
+     f"band_table.bands[1].parent: category must be one of {CATEGORY_NAMES}, got 'Neutral'"),
+    # two faults: the one read first is reported
+    ("first_band_first", [(("bands", 0, "parent"), "up"), (B + ("label",), DELETE)],
+     f"band_table.bands[0].parent: category must be one of {CATEGORY_NAMES}, got 'up'"),
+    ("label_before_parent", [(B + ("parent",), "up"), (B + ("label",), None)],
+     "band_table.bands[1].label: expected str, got NoneType"),
+    ("low_before_high", [(B + ("high",), DELETE), (B + ("low",), False)],
+     "band_table.bands[1].low: expected a number, got False"),
+]
+
+
+@pytest.mark.parametrize("changes, message", [case[1:] for case in BAND_READ_ERRORS],
+                         ids=[case[0] for case in BAND_READ_ERRORS])
+def test_band_table_read_error_messages(changes, message):
+    with pytest.raises(tr.TrustrelError) as err:
+        tr.band_table_from_dict(mutated(BAND_DOC, changes))
+    assert type(err.value) is tr.SchemaError
+    assert str(err.value) == message
 
 
 class TestSweepRowContract:
