@@ -313,13 +313,18 @@ def _entry_index(assessment: Assessment, property_id: str) -> int:
 _MISSING = object()
 
 
-def _require(doc: dict, key: str, kind: type, where: str, default=_MISSING):
+def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     """Field ``key`` of the object ``doc``, checked to be a ``kind``; a
     float takes any JSON number, but no number takes a bool.  A field with
     a ``default`` may be absent, or null if the default is None.  Errors
-    are located at ``where``, or relative to ``doc`` when it is ""."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
+    are located at ``where``, or relative to ``doc`` when it is "".
+
+    Every reader of a document reads each field through this, once and in
+    a fixed order, so the first fault read is the one reported; it checks
+    each object itself, once, before reading its fields.  A location is
+    built only for the error: each item of a list is read relative to
+    itself, and ``_items`` prefixes its location if it fails.
+    """
     value = doc.get(key, default)
     if type(value) is kind:  # the common case, decided by the checks below too
         return value
@@ -341,6 +346,18 @@ def _require(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     return value
 
 
+def _items(raw: list, read, where: str) -> list:
+    """``read`` of each item of the list ``raw``; a SchemaError located
+    relative to the item that failed is raised again located at ``where[i]``."""
+    items = []
+    try:
+        for item in raw:
+            items.append(read(item))
+    except SchemaError as err:  # item i failed: its location is built only now
+        raise SchemaError(f"{where}[{len(items)}]{err}") from None
+    return items
+
+
 #: Each category by its document name, read without an Enum call.
 _CATEGORY_BY_NAME = {c.value: c for c in CATEGORIES}
 
@@ -356,7 +373,8 @@ def _parse_category(raw: str, where: str) -> RelationCategory:
         raise SchemaError(f"{where}: category must be one of {valid}, got {raw!r}") from None
 
 
-def _parse_date(raw: str, where: str) -> date:
+def _parse_date(raw: str, where: str, key: str = "") -> date:
+    """The date ``raw``; an error is located at ``where`` followed by ``key``."""
     # YYYY-MM-DD only, as on Python 3.10: from 3.11 fromisoformat also
     # takes 20010101 and week dates such as 2001-W01-1
     try:
@@ -364,25 +382,26 @@ def _parse_date(raw: str, where: str) -> date:
             return date.fromisoformat(raw)
     except (TypeError, ValueError):
         pass
-    raise SchemaError(f"{where}: expected an ISO-8601 date, got {raw!r}")
+    raise SchemaError(f"{where}{key}: expected an ISO-8601 date, got {raw!r}")
 
 
 def catalog_from_dict(doc: dict) -> PropertyCatalog:
     """Build a catalog from its document form, checking all invariants."""
-    version = _require(doc, "version", str, "catalog")
-    raw_props = _require(doc, "properties", list, "catalog")
-    properties = []
-    for i, raw in enumerate(raw_props):
-        where = f"catalog.properties[{i}]"
-        properties.append(
-            PropertyDef(
-                id=_require(raw, "id", str, where),
-                category=_parse_category(_require(raw, "category", str, where), where),
-                cap=_require(raw, "cap", float, where),
-                description=_require(raw, "description", str, where, ""),
-            )
-        )
+    if not isinstance(doc, dict):
+        raise SchemaError("catalog: expected an object")
+    version = _field(doc, "version", str, "catalog")
+    properties = _items(_field(doc, "properties", list, "catalog"), _property_from_dict,
+                        "catalog.properties")
     return PropertyCatalog(version=version, properties=tuple(properties))
+
+
+def _property_from_dict(doc: dict) -> PropertyDef:
+    """One property of a catalog document; errors are relative to it."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    return PropertyDef(_field(doc, "id", str, ""),
+                       _parse_category(_field(doc, "category", str, ""), ""),
+                       _field(doc, "cap", float, ""), _field(doc, "description", str, "", ""))
 
 
 def catalog_to_dict(catalog: PropertyCatalog) -> dict:
@@ -401,23 +420,11 @@ def catalog_to_dict(catalog: PropertyCatalog) -> dict:
 
 
 def window_from_dict(doc: dict, where: str) -> DateWindow:
-    """Read a window object as ``assessment_from_dict`` reads a document;
-    errors are located at ``where``."""
+    """A window object; errors are located at ``where``."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
-    return DateWindow(_date_field(doc, "start", where), _date_field(doc, "end", where))
-
-
-def _date_field(doc: dict, key: str, where: str) -> date:
-    """Date field ``key`` of the object ``doc``, located at ``where`` on
-    failure only."""
-    raw = doc.get(key)
-    if type(raw) is not str:
-        raw = _require(doc, key, str, where)
-    try:
-        return _parse_date(raw, "")
-    except SchemaError as err:
-        raise SchemaError(f"{where}.{key}{err}") from None
+    return DateWindow(_parse_date(_field(doc, "start", str, where), where, ".start"),
+                      _parse_date(_field(doc, "end", str, where), where, ".end"))
 
 
 def window_to_dict(window: DateWindow) -> dict:
@@ -436,76 +443,34 @@ def window_from_text(text: str) -> DateWindow:
 
 
 def assessment_from_dict(doc: dict) -> Assessment:
-    """Build an assessment from its document form.
-
-    Each object is checked once and each field read once, in a fixed
-    order (window, entries, subject, object, notes; in an entry its
-    evidence, then property and value), so the first fault read is the
-    one reported.  A field that is absent or not of its type is read
-    again by ``_require``, for the error (or the number) it gives.
-    """
+    """Build an assessment from its document form, reading the window,
+    entries, subject, object and notes in that order, and in an entry its
+    evidence, then property and value."""
     if not isinstance(doc, dict):
         raise SchemaError("assessment: expected an object")
-    raw_window = doc.get("window")
-    if type(raw_window) is not dict:
-        raw_window = _require(doc, "window", dict, "assessment")
-    window = window_from_dict(raw_window, "assessment.window")
-    raw_entries = doc.get("entries")
-    if type(raw_entries) is not list:
-        raw_entries = _require(doc, "entries", list, "assessment")
-    entries: list[AssessmentEntry] = []
-    try:
-        for raw in raw_entries:
-            entries.append(_entry_from_dict(raw))
-    except SchemaError as err:  # entries[i] failed: its location is built only now
-        raise SchemaError(f"assessment.entries[{len(entries)}]{err}") from None
-    subject = doc.get("subject")
-    if type(subject) is not str:
-        subject = _require(doc, "subject", str, "assessment")
-    object_ = doc.get("object")
-    if type(object_) is not str:
-        object_ = _require(doc, "object", str, "assessment")
-    notes = doc.get("notes", "")
-    if type(notes) is not str:
-        notes = _require(doc, "notes", str, "assessment", "")
-    return Assessment(subject, object_, window, tuple(entries), notes)
+    window = window_from_dict(_field(doc, "window", dict, "assessment"), "assessment.window")
+    entries = _items(_field(doc, "entries", list, "assessment"), _entry_from_dict,
+                     "assessment.entries")
+    return Assessment(_field(doc, "subject", str, "assessment"),
+                      _field(doc, "object", str, "assessment"), window, tuple(entries),
+                      _field(doc, "notes", str, "assessment", ""))
 
 
 def _entry_from_dict(doc: dict) -> AssessmentEntry:
-    """One entry of an assessment document, read as ``assessment_from_dict``
-    reads the document.  A SchemaError is located relative to the entry
-    (``.value: ...``, ``: missing field ...``), for the caller, which
-    knows the entry's index, to prefix."""
+    """One entry of an assessment document; errors are relative to it."""
     if not isinstance(doc, dict):
         raise SchemaError(": expected an object")
-    raw_links = doc.get("evidence", [])
-    if type(raw_links) is not list:
-        raw_links = _require(doc, "evidence", list, "", [])
-    evidence: list[EvidenceLink] = []
-    try:
-        for raw in raw_links:
-            if not isinstance(raw, dict):
-                raise SchemaError(": expected an object")
-            day = raw.get("date")
-            if type(day) is not str:
-                day = _require(raw, "date", str, "")
-            day = _parse_date(day, "")
-            source = raw.get("source")
-            if type(source) is not str:
-                source = _require(raw, "source", str, "")
-            summary = raw.get("summary", "")
-            if type(summary) is not str:
-                summary = _require(raw, "summary", str, "", "")
-            evidence.append(EvidenceLink(day, source, summary))
-    except SchemaError as err:
-        raise SchemaError(f".evidence[{len(evidence)}]{err}") from None
-    property_id = doc.get("property")
-    if type(property_id) is not str:
-        property_id = _require(doc, "property", str, "")
-    value = doc.get("value")
-    if type(value) is not float:
-        value = _require(doc, "value", float, "")
-    return AssessmentEntry(property_id, value, evidence)
+    evidence = _items(_field(doc, "evidence", list, "", []), _link_from_dict, ".evidence")
+    return AssessmentEntry(_field(doc, "property", str, ""), _field(doc, "value", float, ""),
+                           evidence)
+
+
+def _link_from_dict(doc: dict) -> EvidenceLink:
+    """One evidence link of an entry; errors are relative to it."""
+    if not isinstance(doc, dict):
+        raise SchemaError(": expected an object")
+    return EvidenceLink(_parse_date(_field(doc, "date", str, ""), ""),
+                        _field(doc, "source", str, ""), _field(doc, "summary", str, "", ""))
 
 
 def assessment_to_dict(assessment: Assessment) -> dict:

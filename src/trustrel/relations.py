@@ -36,9 +36,8 @@ from .catalog import (
     Assessment,
     DateWindow,
     PropertyCatalog,
-    _MISSING,
+    _field,
     _load_json,
-    _require,
     _save_json,
     _valid_masses,
     window_from_dict,
@@ -252,9 +251,7 @@ class RelationStore:
     def from_dict(cls, doc: dict) -> "RelationStore":
         """Rebuild a store from its document form, re-deriving every record;
         a nation or record that does not parse, breaks an invariant or
-        disagrees with the calculus is a SchemaError naming it.  Objects
-        and fields are read as ``assessment_from_dict`` reads them: a
-        location is built only for the error."""
+        disagrees with the calculus is a SchemaError naming it."""
         if not isinstance(doc, dict):
             raise SchemaError("store: expected an object")
         store = cls()
@@ -369,23 +366,11 @@ def _record_from_dict(doc: dict) -> RelationRecord:
     return record
 
 
-def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
-    """``_require(doc, key, kind, where, default)``, called only for a field
-    that is absent or not exactly a ``kind``."""
-    value = doc.get(key, default)
-    if type(value) is kind:
-        return value
-    return _require(doc, key, kind, where, default)
-
-
 def _fields(doc: dict, key: str, names, kind: type, where: str = "") -> dict:
     """The fields ``names`` of the object ``doc[key]``, each a ``kind``;
     errors are located at ``where``."""
     raw = _field(doc, key, dict, where)
-    fields = {}
-    for name in names:
-        value = raw.get(name)
-        if type(value) is not kind:
-            value = _require(raw, name, kind, f"{where}.{key}")
-        fields[name] = value
-    return fields
+    try:
+        return {name: _field(raw, name, kind, "") for name in names}
+    except SchemaError as err:  # its location is built only now
+        raise SchemaError(f"{where}.{key}{err}") from None

@@ -42,9 +42,10 @@ from .catalog import (
     _cap_breach,
     _dumps,
     _entry_index,
+    _field,
+    _items,
     _load_json,
     _parse_category,
-    _require,
     _total_breach,
     aggregate_masses,
 )
@@ -508,42 +509,21 @@ def _weight_rows(
 # --- band table documents ----------------------------------------------------
 
 def band_table_from_dict(doc: dict) -> BandTable:
-    """Build a band table from its document form, read as
-    ``assessment_from_dict`` reads an assessment: each object checked
-    once, each field read once, in the order bands, then label, low,
-    high and parent in a band."""
+    """Build a band table from its document form, reading label, low, high
+    and parent in that order in each band."""
     if not isinstance(doc, dict):
         raise SchemaError("band_table: expected an object")
-    raw_bands = doc.get("bands")
-    if type(raw_bands) is not list:
-        raw_bands = _require(doc, "bands", list, "band_table")
-    bands: list[Band] = []
-    try:
-        for raw in raw_bands:
-            bands.append(_band_from_dict(raw))
-    except SchemaError as err:  # bands[i] failed: its location is built only now
-        raise SchemaError(f"band_table.bands[{len(bands)}]{err}") from None
-    return BandTable(bands)
+    return BandTable(_items(_field(doc, "bands", list, "band_table"), _band_from_dict,
+                            "band_table.bands"))
 
 
 def _band_from_dict(doc: dict) -> Band:
-    """One band of a band table document; a SchemaError is located
-    relative to the band, for the caller to prefix."""
+    """One band of a band table document; errors are relative to it."""
     if not isinstance(doc, dict):
         raise SchemaError(": expected an object")
-    label = doc.get("label")
-    if type(label) is not str:
-        label = _require(doc, "label", str, "")
-    low = doc.get("low")
-    if type(low) is not float:
-        low = _require(doc, "low", float, "")
-    high = doc.get("high")
-    if type(high) is not float:
-        high = _require(doc, "high", float, "")
-    parent = doc.get("parent")
-    if type(parent) is not str:
-        parent = _require(doc, "parent", str, "")
-    return Band(label, low, high, _parse_category(parent, ".parent"))
+    return Band(_field(doc, "label", str, ""), _field(doc, "low", float, ""),
+                _field(doc, "high", float, ""),
+                _parse_category(_field(doc, "parent", str, ""), ".parent"))
 
 
 def band_table_to_dict(table: BandTable) -> dict:
