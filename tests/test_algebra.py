@@ -231,6 +231,18 @@ class TestBandTable:
         with pytest.raises(tr.ValidationError, match="no bands"):
             tr.BandTable([]).validate_against(tr.compute_bounds(generic_weights))
 
+    @pytest.mark.parametrize("bands, message", [
+        ([("h", -0.3, 0.0, RC.HOSTILE), ("n", 0.0, 0.2, RC.NEUTRAL), ("f", 0.2, 0.6, RC.FRIENDLY)],
+         "first band starts at -0.3, scale starts at -0.4"),
+        ([("h", -0.4, 0.0, RC.HOSTILE), ("n", 0.0, 0.0, RC.NEUTRAL), ("f", 0.0, 0.6, RC.FRIENDLY)],
+         "band 'n' must have low < high, got [0.0, 0.0]"),
+    ], ids=["first_band_off_the_scale", "empty_band"])
+    def test_tiling_error_messages(self, bands, message):
+        bounds = tr.compute_bounds(tr.WeightVector(0.4, 0.2, 0.4))
+        with pytest.raises(tr.ValidationError) as err:
+            tr.BandTable([tr.Band(*band) for band in bands]).validate_against(bounds)
+        assert str(err.value) == message
+
 
 class TestEvaluate:
     def test_generic_example(self, generic_weights):

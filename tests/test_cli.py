@@ -3,16 +3,23 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import trustrel as tr
 from trustrel.cli import main
+
+from document_edits import DELETE, mutated
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -62,6 +69,19 @@ class TestValidate:
         assert f"catalog {path}: INVALID: hostile caps must total 1.0, got 1.49" in out
         assert f"assessment {USA}: NOT CHECKED (catalog {path} is invalid)" in out
         assert ": OK (" not in out
+
+    def test_entry_without_evidence_is_a_warning_line(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({
+            "subject": "USA", "object": "GBR",
+            "window": {"start": "2001-01-01", "end": "2005-12-31"},
+            "entries": [{"property": "f.P1", "value": 0.3}],
+        }), encoding="utf-8")
+        assert main(["validate", "--assessment", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "warning: entry 'f.P1' has no supporting evidence\n"
+            f"assessment {path}: OK (1 entries)\n"
+        )
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "--catalog", "/nonexistent/cat.json"]) == 2
@@ -403,6 +423,9 @@ STAGE_FAILURES = {
     "sweep_grid": (
         WHATIF + ["--target", "weight:hostile", "--sweep", "0:1"], 1,
         "error: sweep: --sweep must look like FROM:TO:STEP, got '0:1'\n"),
+    "sweep_not_numbers": (
+        WHATIF + ["--target", "weight:hostile", "--sweep", "a:b:c"], 1,
+        "error: sweep: --sweep values must be numbers, got 'a:b:c'\n"),
     "store": (
         ["matrix", "--store", "{tmp}/bad_store.json"] + WINDOW, 2,
         "error: store: store.nations[0].id: expected str, got int\n"),
@@ -412,6 +435,8 @@ STAGE_FAILURES = {
     "matrix": (
         ["matrix", "--store", "{tmp}/store.json", "--nations", "USA,XYZ"] + WINDOW, 1,
         "error: matrix: nation 'XYZ' is not registered\n"),
+    "nothing_to_validate": (
+        ["validate"], 2, "error: nothing to validate: pass --catalog and/or --assessment\n"),
     "missing_file": (
         ["evaluate", "--catalog", "{tmp}/missing.json", "--assessment", USA], 2,
         "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
@@ -493,3 +518,142 @@ class TestDeterminism:
             assert main(argv + signs) == 0
             outputs.append(capsys.readouterr().out.encode())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# --- every call exits 0, 1 or 2 ----------------------------------------------
+
+#: The documents a fuzzed call edits, by the option that names them.
+FUZZ_SOURCES = {
+    "catalog": [CATALOG],
+    "assessment": [USA, RIVAL],
+    "bands": [BANDS],
+    "store": [str(REPO_ROOT / "tests" / "golden" / "doc_store_three_nations.json")],
+}
+FUZZ_DOCS = {path: json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+             for paths in FUZZ_SOURCES.values() for path in paths}
+EDIT_VALUES = [DELETE, None, True, 0, 1, -1, 0.5, 1.5, -0.0, math.nan, math.inf, "x", "",
+               "2001-13-01", "hostile", [], {}, [{}], 10 ** 400]
+NUMBERS = ["0", "1", "0.5", "0.4", "0.2", "-0.0", "nan", "inf", "-inf", "1e400", "-0.1", "x", ""]
+
+
+def _paths(doc, path=()):
+    """The path of ``doc`` and of every field and list item inside it."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _edited(source, changes):
+    """The bytes of document ``source`` with each of ``changes`` that still
+    has a target applied in turn."""
+    doc = FUZZ_DOCS[source]
+    for change in changes:
+        try:
+            doc = mutated(doc, [change])
+        except (KeyError, IndexError, TypeError):  # an earlier change removed the path
+            pass
+    return json.dumps(doc).encode()
+
+
+def _edits(source):
+    """Bytes of document ``source`` with up to three fields or items edited."""
+    edit = st.tuples(st.sampled_from(list(_paths(FUZZ_DOCS[source]))), st.sampled_from(EDIT_VALUES))
+    edit = edit.filter(lambda change: change[0] or change[1] is not DELETE)  # keep a document
+    return st.lists(edit, max_size=3).map(lambda changes: _edited(source, changes))
+
+
+EDITED = {source: _edits(source) for source in FUZZ_DOCS}
+
+
+def _slot(kind):
+    """A document for the option ``kind``: mostly its own kind, as is or
+    edited, else another kind, random bytes, or None for a missing file."""
+    own = st.sampled_from(FUZZ_SOURCES[kind])
+    return st.sampled_from(["own"] * 3 + ["edited"] * 3 + ["other", "bytes", "missing"]).flatmap(
+        lambda pick: {"own": own.map(lambda source: _edited(source, [])),
+                      "edited": own.flatmap(EDITED.get),
+                      "other": st.sampled_from(list(EDITED.values())).flatmap(lambda edits: edits),
+                      "bytes": st.binary(max_size=40),
+                      "missing": st.none()}[pick])
+
+
+WINDOWS = ["2001-01-01:2005-12-31", "1900-01-01:2100-12-31", "2001-01-01",
+           "2005-01-01:2001-01-01", "x:y", "2001-13-01:2002-01-01"]
+NATIONS = ["ALPHA,GBR,USA", '"USA","GBR"', 'USA,"GB,R"', '"USA', ",,", "", "XYZ", "USA,'GBR'"]
+TARGETS = ["weight:hostile", "weight:neutral", "weight:friendly", "weight:up", "property:f.P1",
+           "property:h.P4", "property:n.P3", "property:zz", "weight", ":"]
+GRID = ["0", "1", "0.5", "0.25", "0.1", "-0.0", "nan", "inf", "1e400", "-0.1", "1e-12", "5e-324", "x"]
+
+
+def _joined(values, sep):
+    return st.lists(st.sampled_from(values), min_size=2, max_size=4).map(sep.join)
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for ``main``, with ``{name}`` for the path of each document
+    in the dict returned with it.  Every option value is joined to its
+    flag by "=", as argparse takes a separate value led by "-" for an
+    option; only --signs is also written apart, as ``main`` joins it."""
+    docs = {}
+
+    def doc(kind):
+        docs[kind] = draw(_slot(kind))
+        return [f"--{kind}={{{kind}}}"]
+
+    def opt(name, values, required=False):
+        value = draw(values if isinstance(values, st.SearchStrategy) else st.sampled_from(values))
+        return [f"--{name}={value}"] if required or draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["evaluate", "whatif", "validate", "matrix"]))
+    argv = [command]
+    if command == "validate":
+        for kind in ("catalog", "assessment"):
+            if draw(st.booleans()):
+                argv += doc(kind)
+        return argv + opt("cap-mode", ["strict", "free", "lax"]), docs
+    if command == "matrix":
+        argv += doc("store") + opt("window", WINDOWS, required=True) + opt("nations", NATIONS)
+        return argv + opt("format", ["text", "csv", "json"]), docs
+    argv += doc("catalog") + doc("assessment")
+    argv += opt("weights", st.one_of(
+        st.sampled_from(["0.4,0.2,0.4", "0.45,0.1,0.45", "-0.0,0.5,0.5", "1,0,0"]),
+        _joined(NUMBERS, ",")))
+    for category in ("hostile", "neutral", "friendly"):
+        argv += opt(f"weight-{category}", NUMBERS)
+    signs = draw(_joined(["-", "+", "0", ""], ","))
+    argv += draw(st.sampled_from([[], ["--signs", signs], [f"--signs={signs}"]]))
+    argv += opt("cap-mode", ["strict", "free", "lax"]) + opt("format", ["text", "json", "csv", "xml"])
+    if command == "evaluate":
+        if draw(st.booleans()):
+            argv += doc("bands")
+        return argv + opt("delta", ["0.1", "0", "nan", "inf", "-0.1"]), docs
+    argv += opt("target", TARGETS, required=True) + opt("sweep", st.one_of(
+        st.sampled_from(["0:1:0.25", "1:0:0.5", "0.4:0:0.1", "0:0.2:0.1"]), _joined(GRID, ":")),
+        required=True)
+    return argv, docs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_calls())
+def test_every_call_exits_zero_one_or_two(call):
+    argv, docs = call
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"{name}.json") for name in docs}
+        for name, content in docs.items():
+            if content is not None:
+                pathlib.Path(paths[name]).write_bytes(content)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exit:  # argparse refused the command line
+            assert exit.code == 2
+            return
+    assert status in (0, 1, 2)
+    if status == 2 or (status == 1 and argv[0] != "validate"):
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    elif status == 0:
+        assert err.getvalue() == ""

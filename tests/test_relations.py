@@ -368,6 +368,10 @@ class TestPersistence:
         store.evaluate_relation("USA", "GBR", usa_assessment, catalog, CASE_WEIGHTS)
         assert tr.RelationStore.from_dict(store.to_dict()) == store
 
+    def test_store_is_never_equal_to_another_type(self):
+        assert tr.RelationStore().__eq__(1) is NotImplemented
+        assert (tr.RelationStore() == 1) is False
+
     def test_malformed_store_is_schema_error(self, tmp_path):
         path = tmp_path / "store.json"
         path.write_text('{"nations": []}', encoding="utf-8")

@@ -215,6 +215,11 @@ POST_INIT_ERRORS = [
      "duplicate property id 'h'"),
     ("catalog_total", tr.PropertyCatalog, ("v1", (tr.PropertyDef("h", H, 0.5),) + UNIT_CAPS[1:]),
      "hostile caps must total 1.0, got 0.5"),
+    # summed left to right from 0 on every Python: sum() compensates from 3.12 on
+    ("catalog_total_summed_in_order", tr.PropertyCatalog,
+     ("v1", tuple(tr.PropertyDef(f"h{i}", H, cap) for i, cap in enumerate((0.7, 0.1, 0.2, 0.1, 0.3)))
+      + UNIT_CAPS[1:]),
+     "hostile caps must total 1.0, got 1.4000000000000001"),
     ("entry_value", tr.AssessmentEntry, ("f.P1", 1.5), "observed value for 'f.P1' must lie in [0, 1], got 1.5"),
     ("entry_value_nan", tr.AssessmentEntry, ("f.P1", math.nan, [LINK]),
      "observed value for 'f.P1' must lie in [0, 1], got nan"),
