@@ -85,7 +85,11 @@ class PropertyCatalog:
                 raise ValidationError(f"duplicate property id {prop.id!r}")
             seen.add(prop.id)
         for category in CATEGORIES:
-            total = sum(p.cap for p in self.properties if p.category is category)
+            # left to right from the int 0, as compute_bounds: sum() compensates from 3.12 on
+            total = 0
+            for prop in self.properties:
+                if prop.category is category:
+                    total += prop.cap
             if abs(total - 1.0) > TOLERANCE:
                 raise ValidationError(
                     f"{category} caps must total 1.0, got {total}"
@@ -161,11 +165,10 @@ class AssessmentReport:
         return not self.violations
 
 
-#: Instance-dict key of the masses a clean scan keeps with an assessment,
-#: as one ``(catalog, mode, masses, reported)`` tuple, where ``reported``
-#: says the scan was ``validate_assessment``'s, which also checks evidence
-#: dates.  Not a dataclass field, so ``==``, ``hash``, ``repr``,
-#: ``replace`` and the document never see it.
+#: Instance-dict key of the masses a clean ``validate_assessment`` scan
+#: keeps with an assessment, as one ``(catalog, mode, masses)`` tuple.
+#: Not a dataclass field, so ``==``, ``hash``, ``repr``, ``replace`` and
+#: the document never see it.
 _KEPT_MASSES = "_kept_masses"
 
 
@@ -178,14 +181,13 @@ def aggregate_masses(
 
     Properties never referenced contribute 0.  Raises ValidationError
     on an unknown property id, a value above its cap in strict mode, or
-    a category total above 1.  When an earlier scan of this assessment,
-    here or in ``validate_assessment``, found no violation with this
-    same catalog object and mode, its masses are returned unscanned.
+    a category total above 1.  When ``validate_assessment`` found no
+    violation in this assessment with this same catalog object and mode,
+    the masses it kept are returned unscanned.  This function keeps none,
+    so calling it twice without validating scans twice.
     """
-    kept = assessment.__dict__.get(_KEPT_MASSES)
-    if kept is not None and kept[0] is catalog and kept[1] == mode:
-        return kept[2]
-    return _scan(assessment, catalog, mode)
+    masses = _kept(assessment, catalog, mode)
+    return _scan(assessment, catalog, mode) if masses is None else masses
 
 
 def validate_assessment(
@@ -209,17 +211,20 @@ def _valid_masses(
 ) -> CategoryMassVector:
     """The masses of an assessment that ``validate_assessment`` finds no
     violation in; otherwise ValidationError listing every violation.
-    Masses kept by an earlier clean ``validate_assessment`` scan with this
-    same catalog object and mode are returned unscanned; those kept by
-    ``aggregate_masses`` are not, since its scan skips evidence dates."""
-    kept = assessment.__dict__.get(_KEPT_MASSES)
-    if kept is not None and kept[0] is catalog and kept[1] == mode and kept[3]:
-        return kept[2]
-    report = AssessmentReport()
-    masses = _scan(assessment, catalog, mode, report)
-    if not report.ok:
-        raise ValidationError("assessment is invalid: " + "; ".join(report.violations))
+    Masses kept by an earlier clean scan are returned unscanned."""
+    masses = _kept(assessment, catalog, mode)
+    if masses is None:
+        report = AssessmentReport()
+        masses = _scan(assessment, catalog, mode, report)
+        if not report.ok:
+            raise ValidationError("assessment is invalid: " + "; ".join(report.violations))
     return masses
+
+
+def _kept(assessment: Assessment, catalog: PropertyCatalog, mode: str) -> CategoryMassVector | None:
+    """Masses a clean ``validate_assessment`` scan kept for this catalog object and mode."""
+    kept = assessment.__dict__.get(_KEPT_MASSES)
+    return kept[2] if kept is not None and kept[0] is catalog and kept[1] == mode else None
 
 
 def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
@@ -228,13 +233,12 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
 
     Without a report the first violation raises ValidationError.  With
     one, every violation and warning is collected in entry order, and
-    the masses are returned only when there is no violation.  Masses
-    returned are kept with the assessment for ``aggregate_masses`` and
-    ``_valid_masses``, keyed on the catalog object and the mode and marked
-    with whether a report was kept: the assessment, its entries and the
-    catalog are frozen, so the same scan would return them again.  They
-    are published as one tuple, so readers need no lock; a scan that
-    finds a violation keeps nothing.
+    the masses are returned only when there is no violation; only then
+    are they kept with the assessment for ``aggregate_masses`` and
+    ``_valid_masses``, keyed on the catalog object and the mode: the
+    assessment, its entries and the catalog are frozen, so the same scan
+    would return them again.  They are published as one tuple, so readers
+    need no lock.  A scan without a report keeps nothing.
     """
     if mode not in CAP_MODES:
         raise ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
@@ -277,10 +281,11 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
         message = _total_breach(category, total)
         if message is not None:
             violation(message)
-    if report is not None and not report.ok:
+    if report is not None and not report.ok:  # its totals may exceed 1
         return None
     masses = CategoryMassVector(*totals)
-    assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses, report is not None)
+    if report is not None:
+        assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses)
     return masses
 
 
@@ -295,19 +300,6 @@ def _total_breach(category: RelationCategory, total: float) -> str | None:
     return f"{category} mass {total} exceeds 1" if total > 1.0 + TOLERANCE else None
 
 
-def _entry_index(assessment: Assessment, property_id: str) -> int:
-    """Position of the one entry observing ``property_id``."""
-    positions = [
-        i for i, e in enumerate(assessment.entries) if e.property_id == property_id
-    ]
-    if len(positions) != 1:
-        raise ValidationError(
-            f"expected exactly one entry for {property_id!r}, "
-            f"found {len(positions)}"
-        )
-    return positions[0]
-
-
 # --- document parsing and serialization -------------------------------------
 
 _MISSING = object()
@@ -320,10 +312,10 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     are located at ``where``, or relative to ``doc`` when it is "".
 
     Every reader of a document reads each field through this, once and in
-    a fixed order, so the first fault read is the one reported; it checks
-    each object itself, once, before reading its fields.  A location is
-    built only for the error: each item of a list is read relative to
-    itself, and ``_items`` prefixes its location if it fails.
+    a fixed order, so the first fault read is the one reported; a document,
+    a field and a list item (in ``_items``) are each checked once to be an
+    object.  A location is built only for the error: each item of a list is
+    read relative to itself, and ``_items`` prefixes its location if it fails.
     """
     value = doc.get(key, default)
     if type(value) is kind:  # the common case, decided by the checks below too
@@ -346,16 +338,18 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     return value
 
 
-def _items(raw: list, read, where: str) -> list:
-    """``read`` of each item of the list ``raw``; a SchemaError located
-    relative to the item that failed is raised again located at ``where[i]``."""
+def _items(raw: list, read, where: str) -> tuple:
+    """Each item of the list ``raw``, checked to be an object, read by ``read``;
+    a SchemaError located relative to item i is raised again located at ``where[i]``."""
     items = []
     try:
         for item in raw:
+            if not isinstance(item, dict):
+                raise SchemaError(": expected an object")
             items.append(read(item))
     except SchemaError as err:  # item i failed: its location is built only now
         raise SchemaError(f"{where}[{len(items)}]{err}") from None
-    return items
+    return tuple(items)
 
 
 #: Each category by its document name, read without an Enum call.
@@ -364,13 +358,10 @@ _CATEGORY_BY_NAME = {c.value: c for c in CATEGORIES}
 
 def _parse_category(raw: str, where: str) -> RelationCategory:
     category = _CATEGORY_BY_NAME.get(raw)
-    if category is not None:
-        return category
-    try:  # for the error an unknown name raises
-        return RelationCategory(raw)
-    except ValueError:
+    if category is None:
         valid = ", ".join(c.value for c in CATEGORIES)
-        raise SchemaError(f"{where}: category must be one of {valid}, got {raw!r}") from None
+        raise SchemaError(f"{where}: category must be one of {valid}, got {raw!r}")
+    return category
 
 
 def _parse_date(raw: str, where: str, key: str = "") -> date:
@@ -392,13 +383,11 @@ def catalog_from_dict(doc: dict) -> PropertyCatalog:
     version = _field(doc, "version", str, "catalog")
     properties = _items(_field(doc, "properties", list, "catalog"), _property_from_dict,
                         "catalog.properties")
-    return PropertyCatalog(version=version, properties=tuple(properties))
+    return PropertyCatalog(version=version, properties=properties)
 
 
 def _property_from_dict(doc: dict) -> PropertyDef:
     """One property of a catalog document; errors are relative to it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     return PropertyDef(_field(doc, "id", str, ""),
                        _parse_category(_field(doc, "category", str, ""), ""),
                        _field(doc, "cap", float, ""), _field(doc, "description", str, "", ""))
@@ -421,8 +410,6 @@ def catalog_to_dict(catalog: PropertyCatalog) -> dict:
 
 def window_from_dict(doc: dict, where: str) -> DateWindow:
     """A window object; errors are located at ``where``."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
     return DateWindow(_parse_date(_field(doc, "start", str, where), where, ".start"),
                       _parse_date(_field(doc, "end", str, where), where, ".end"))
 
@@ -452,14 +439,12 @@ def assessment_from_dict(doc: dict) -> Assessment:
     entries = _items(_field(doc, "entries", list, "assessment"), _entry_from_dict,
                      "assessment.entries")
     return Assessment(_field(doc, "subject", str, "assessment"),
-                      _field(doc, "object", str, "assessment"), window, tuple(entries),
+                      _field(doc, "object", str, "assessment"), window, entries,
                       _field(doc, "notes", str, "assessment", ""))
 
 
 def _entry_from_dict(doc: dict) -> AssessmentEntry:
     """One entry of an assessment document; errors are relative to it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     evidence = _items(_field(doc, "evidence", list, "", []), _link_from_dict, ".evidence")
     return AssessmentEntry(_field(doc, "property", str, ""), _field(doc, "value", float, ""),
                            evidence)
@@ -467,8 +452,6 @@ def _entry_from_dict(doc: dict) -> AssessmentEntry:
 
 def _link_from_dict(doc: dict) -> EvidenceLink:
     """One evidence link of an entry; errors are relative to it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     return EvidenceLink(_parse_date(_field(doc, "date", str, ""), ""),
                         _field(doc, "source", str, ""), _field(doc, "summary", str, "", ""))
 

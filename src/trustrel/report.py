@@ -41,7 +41,6 @@ from .catalog import (
     PropertyCatalog,
     _cap_breach,
     _dumps,
-    _entry_index,
     _field,
     _items,
     _load_json,
@@ -431,17 +430,22 @@ def run_whatif(
         b = base.bounds
         lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
         # the swept category adds the entries before the swept one, the
-        # value, then the entries after it, as aggregate_masses does
-        position = _entry_index(assessment, spec.target)
-        prop = catalog.by_id[spec.target]
-        index = CATEGORIES.index(prop.category)
-        prefix, tail = 0.0, []
-        for i, entry in enumerate(assessment.entries):
-            if catalog.by_id[entry.property_id].category is prop.category:
-                if i < position:
-                    prefix += entry.value
-                elif i > position:
+        # value, then the entries after it, as aggregate_masses does, which
+        # found every entry's id in the catalog
+        prop = catalog.by_id.get(spec.target)
+        category = None if prop is None else prop.category
+        found, prefix, tail = 0, 0.0, []
+        for entry in assessment.entries:
+            if entry.property_id == spec.target:
+                found += 1
+            elif catalog.by_id[entry.property_id].category is category:
+                if found:
                     tail.append(entry.value)
+                else:
+                    prefix += entry.value
+        if found != 1:
+            raise ValidationError(f"expected exactly one entry for {spec.target!r}, found {found}")
+        index = CATEGORIES.index(category)
         rows = []
         first_flip = None
         for value in spec.values():
@@ -450,7 +454,7 @@ def run_whatif(
             for later in tail:
                 total += later
             # no observed-value range check: SensitivitySpec.values() clamps to [0, 1]
-            breach = _cap_breach(prop, value, mode) or _total_breach(prop.category, total)
+            breach = _cap_breach(prop, value, mode) or _total_breach(category, total)
             if breach:
                 raise ValidationError(breach)
             # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
@@ -519,8 +523,6 @@ def band_table_from_dict(doc: dict) -> BandTable:
 
 def _band_from_dict(doc: dict) -> Band:
     """One band of a band table document; errors are relative to it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     return Band(_field(doc, "label", str, ""), _field(doc, "low", float, ""),
                 _field(doc, "high", float, ""),
                 _parse_category(_field(doc, "parent", str, ""), ".parent"))

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from trustrel.catalog import Assessment, _entry_index
+from trustrel import Assessment, ValidationError
 
 
 def replace_entry_value(
@@ -12,7 +12,11 @@ def replace_entry_value(
 
     The property must appear exactly once.
     """
-    index = _entry_index(assessment, property_id)
+    positions = [i for i, e in enumerate(assessment.entries) if e.property_id == property_id]
+    if len(positions) != 1:
+        raise ValidationError(
+            f"expected exactly one entry for {property_id!r}, found {len(positions)}"
+        )
     entries = list(assessment.entries)
-    entries[index] = replace(entries[index], value=value)
+    entries[positions[0]] = replace(entries[positions[0]], value=value)
     return replace(assessment, entries=tuple(entries))

@@ -773,6 +773,14 @@ def test_validate_then_report_and_sweep_scan_once(monkeypatch, usa_assessment):
     assert len(scans) == 1
     tr.build_report(CATALOG, assessment, weights, mode="free")
     assert len(scans) == 2
+    # only validate_assessment keeps masses: the strict ones are still kept,
+    # and aggregation without validating scans every time
+    tr.build_report(CATALOG, assessment, weights)
+    assert len(scans) == 2
+    fresh = dataclasses.replace(usa_assessment)
+    tr.aggregate_masses(fresh, CATALOG)
+    tr.aggregate_masses(fresh, CATALOG)
+    assert len(scans) == 4
 
 
 def test_threads_sharing_an_assessment_get_their_own_masses(usa_assessment):
