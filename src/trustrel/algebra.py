@@ -20,14 +20,24 @@ declared with ``_frozen``: ``dataclass(frozen=True)`` with an
 ``__init__`` of the same signature and defaults that writes each field
 straight into the instance dict, then calls ``__post_init__`` if the
 class has one.  The frozen dataclass ``__init__`` instead stores each
-field through ``object.__setattr__``, a call per field.  Equality,
-hashing, ``repr``, immutability, ``dataclasses.fields``/``replace`` and
-pickling are the dataclass's own either way.  The types built once at
-set-up and read on every document (``WeightVector``, ``ScalarConfig``,
-``PropertyDef`` and ``PropertyCatalog``) stay plain frozen dataclasses:
-on CPython 3.11 and 3.12 reading an attribute of an instance whose dict
-was written takes about 35 ns, against 14 ns when its fields were
-stored through ``object.__setattr__``.
+field through ``object.__setattr__``, a call per field.  Immutability,
+``dataclasses.fields``/``replace`` and pickling are the dataclass's own
+either way.  The types built once at set-up and read on every document
+(``WeightVector``, ``ScalarConfig``, ``PropertyDef`` and
+``PropertyCatalog``) keep the dataclass ``__init__``: on CPython 3.11
+and 3.12 reading an attribute of an instance whose dict was written
+takes about 35 ns, against 14 ns when its fields were stored through
+``object.__setattr__``.
+
+All twenty share one ``__eq__``, ``__hash__`` and ``__repr__``
+(``_compared``) in place of the three that ``dataclass()`` would compile
+from generated source for each class at import, a cost every CLI call
+pays; ``dataclass()`` still generates each ``__init__`` and the frozen
+``__setattr__`` and ``__delattr__``.  The shared methods behave as the
+generated ones do on Python 3.10 to 3.12: a value is compared and hashed
+as the tuple of its fields.  From 3.13 on the generated ``__eq__``
+compares field by field, so there two values holding the same NaN object
+differ; the shared one finds them equal on every Python.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from reprlib import recursive_repr
 
 from .errors import ValidationError
 
@@ -61,12 +72,41 @@ CATEGORIES = (
 )
 
 
+def _field_values(value) -> tuple:
+    """The fields of a value type, in order: what it is compared and hashed by."""
+    return tuple([getattr(value, name) for name in value.__match_args__])
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _field_values(self) == _field_values(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_field_values(self))
+
+
+@recursive_repr()
+def _repr(self) -> str:
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _compared(cls: type) -> type:
+    """Give a class declared ``dataclass(frozen=True, repr=False, eq=False)``
+    the shared ``__eq__``, ``__hash__`` and ``__repr__`` (see the module
+    docstring).  Every field must be positional and compared."""
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    return cls
+
+
 def _frozen(cls: type) -> type:
-    """``dataclass(frozen=True)`` with a generated ``__init__`` that writes
-    the fields into the instance dict (see the module docstring).  Field
-    defaults must be plain values, and no field may be named ``self`` or
-    ``fields``."""
-    cls = dataclass(frozen=True, init=False)(cls)
+    """A ``_compared`` frozen dataclass with a generated ``__init__`` that
+    writes the fields into the instance dict (see the module docstring).
+    Field defaults must be plain values, and no field may be named
+    ``self`` or ``fields``."""
+    cls = _compared(dataclass(frozen=True, init=False, repr=False, eq=False)(cls))
     namespace = {"__name__": cls.__module__}
     declared = fields(cls)
     params, body = [], ["fields = self.__dict__"]
@@ -101,7 +141,8 @@ class _PerCategory(_Fields):
         return getattr(self, category.value)
 
 
-@dataclass(frozen=True)
+@_compared
+@dataclass(frozen=True, repr=False, eq=False)
 class WeightVector(_PerCategory):
     """Observer emphasis per category: each in [0, 1], summing to 1."""
 
@@ -126,7 +167,8 @@ class WeightVector(_PerCategory):
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@_compared
+@dataclass(frozen=True, repr=False, eq=False)
 class ScalarConfig(_PerCategory):
     """Direction of each category's contribution: exactly -1 or +1."""
 

@@ -20,7 +20,7 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _frozen
+from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _compared, _frozen
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -52,7 +52,8 @@ class DateWindow:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
-@dataclass(frozen=True)
+@_compared
+@dataclass(frozen=True, repr=False, eq=False)
 class PropertyDef:
     """One named, capped contribution within a category's catalog."""
 
@@ -70,7 +71,8 @@ class PropertyDef:
             )
 
 
-@dataclass(frozen=True)
+@_compared
+@dataclass(frozen=True, repr=False, eq=False)
 class PropertyCatalog:
     """Versioned set of property definitions covering all three categories."""
 

@@ -657,3 +657,51 @@ def test_every_call_exits_zero_one_or_two(call):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     elif status == 0:
         assert err.getvalue() == ""
+
+
+# --- state independence ---------------------------------------------------------
+
+#: name -> argv of calls that read or leave state a later call could see:
+#: masses kept on an assessment, weight-sweep frames, the shipped catalog
+ALONE_CALLS = {
+    "evaluate_text": EVALUATE + ["--weights", "0.4,0.2,0.4"],
+    "evaluate_json": EVALUATE + ["--weights", "0.4,0.2,0.4", "--format", "json"],
+    "evaluate_csv_bands": ["evaluate", "--catalog", CATALOG, "--assessment", RIVAL,
+                           "--weights", "0.45,0.10,0.45", "--cap-mode", "free",
+                           "--bands", BANDS, "--format", "csv"],
+    "whatif_weight": WHATIF + ["--weights", "0.4,0.2,0.4", "--target", "weight:hostile",
+                               "--sweep", "0:1:0.1"],
+    "whatif_weight_rival": ["whatif", "--catalog", CATALOG, "--assessment", RIVAL,
+                            "--weights", "0.45,0.10,0.45", "--cap-mode", "free",
+                            "--target", "weight:hostile", "--sweep", "0.45:0.05:0.05"],
+    "whatif_property": WHATIF + ["--weights", "0.4,0.2,0.4", "--target", "property:f.P1",
+                                 "--sweep", "0.5:0:0.05"],
+    "whatif_property_over_cap": WHATIF + ["--target", "property:n.P1", "--sweep", "0:1:0.1"],
+    "validate": ["validate", "--catalog", CATALOG, "--assessment", USA],
+    "matrix": ["matrix", "--store", FUZZ_SOURCES["store"][0],
+               "--window", "1900-01-01:2100-12-31"],
+}
+
+
+@pytest.fixture(scope="module")
+def alone():
+    """Status, stdout and stderr of each call of ALONE_CALLS in a fresh process."""
+    runs = {}
+    for name, argv in ALONE_CALLS.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "trustrel.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        runs[name] = (done.returncode, done.stdout, done.stderr)
+    return runs
+
+
+@pytest.mark.parametrize("order", [list(ALONE_CALLS), list(reversed(ALONE_CALLS))],
+                         ids=["forward", "reversed"])
+def test_calls_in_one_process_print_what_each_prints_alone(order, alone):
+    for name in order:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(ALONE_CALLS[name])
+        assert (status, out.getvalue(), err.getvalue()) == alone[name], name

@@ -2,10 +2,17 @@
 
 Most are declared with ``algebra._frozen``, whose generated ``__init__``
 fills the instance dict directly, and the rest with the plain frozen
-``dataclass``.  These tests pin what a caller sees of either: fields in
-order, construction, ``replace``, immutability, equality and hashing,
-``repr``, pickling and copying, the dict form, and every message a
-``__post_init__`` raises.
+``dataclass``; all of them share one ``__eq__``, ``__hash__`` and
+``__repr__`` (``algebra._compared``).  These tests pin what a caller
+sees of either: fields in order, construction, ``replace``,
+immutability, equality and hashing, ``repr``, pickling and copying, the
+dict form, and every message a ``__post_init__`` raises.  They also pin
+the structure that keeps import cheap (the only methods compiled from
+generated source are ``__init__``, ``__setattr__`` and ``__delattr__``)
+and check the shared methods against a twin made by
+``dataclasses.make_dataclass`` over drawn field values, on every
+Python.  The one case where the twin differs, on 3.13 and later, is
+pinned apart: two values holding the same NaN object.
 """
 
 import copy
@@ -16,6 +23,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
@@ -147,6 +156,70 @@ def test_equality_hash_and_repr(cls, args, names, change):
     assert value != args
     shown = ", ".join(f"{name}={arg!r}" for name, arg in zip(names, args))
     assert repr(value) == f"{cls.__name__}({shown})"
+
+
+@CASES
+def test_eq_hash_and_repr_are_shared_and_only_three_methods_are_generated(
+        cls, args, names, change):
+    shared = (tr.algebra._eq, tr.algebra._hash, tr.algebra._repr)
+    assert all(vars(cls)[name] is method
+               for name, method in zip(("__eq__", "__hash__", "__repr__"), shared))
+    assert cls.__match_args__ == names
+    generated = {name for name, member in vars(cls).items()
+                 if callable(member) and inspect.unwrap(member).__code__.co_filename == "<string>"}
+    assert generated == {"__init__", "__setattr__", "__delattr__"}
+
+
+#: Field values for the twin comparison: -0.0 beside 0.0, 1 beside 1.0
+#: and True, and values of every field type in the table.
+FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, False, -1, None, "", "x", (), (LINK,), DAY, H, F]),
+    st.floats(allow_nan=False), st.text(max_size=2))
+
+
+def _bare(cls, values):
+    """An instance holding ``values`` without running ``__init__``, so that
+    values no ``__post_init__`` would accept reach the shared methods too."""
+    value = cls.__new__(cls)
+    value.__dict__.update(zip(_names(cls), values))
+    return value
+
+
+@CASES
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shared_methods_match_a_generated_twin(cls, args, names, change, data):
+    twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+    known = [st.sampled_from([arg, change.get(name, arg)]) for name, arg in zip(names, args)]
+    first = data.draw(st.tuples(*(st.one_of(v, FIELD_VALUES) for v in known)))
+    other = data.draw(st.tuples(*(st.one_of(st.just(v), FIELD_VALUES) for v in first)))
+    ours, theirs = (_bare(cls, first), _bare(cls, other)), (twin(*first), twin(*other))
+    assert (ours[0] == ours[1]) == (theirs[0] == theirs[1])
+    assert (ours[0] != ours[1]) == (theirs[0] != theirs[1])
+    assert [hash(v) for v in ours] == [hash(v) for v in theirs]
+    assert [repr(v) for v in ours] == [repr(v) for v in theirs]
+
+
+@CASES
+def test_another_class_or_a_subclass_is_not_implemented(cls, args, names, change):
+    value, twin = cls(*args), dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+    sub = type(f"Sub{cls.__name__}", (cls,), {})(*args)
+    for other in (twin(*args), sub, args, object()):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other
+    assert sub.__eq__(value) is NotImplemented
+
+
+@pytest.mark.parametrize("make", [
+    lambda nan: tr.SweepRow(nan, 0.125, 0.5, "neutral", True),
+    lambda nan: tr.Band("calm", 0.0, nan, N),
+], ids=["SweepRow", "Band"])
+def test_values_holding_one_nan_object_are_equal(make):
+    # tuple comparison takes an identical object as equal, so the same NaN
+    # object in both values compares equal; the field-by-field __eq__ that
+    # dataclass() generates from Python 3.13 on finds them unequal
+    assert make(math.nan) == make(math.nan) and hash(make(math.nan)) == hash(make(math.nan))
+    assert make(float("nan")) != make(float("nan"))
 
 
 @CASES
