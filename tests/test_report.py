@@ -10,6 +10,7 @@ import pytest
 
 import trustrel as tr
 from trustrel import RelationCategory as RC
+from trustrel import report
 from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
 
 from document_edits import DELETE, mutated
@@ -162,8 +163,29 @@ class TestWhatIf:
         self, catalog, usa_assessment, case_weights
     ):
         spec = tr.SensitivitySpec("property", "f.P4", 0.1, 0.0, 0.05)
-        with pytest.raises(tr.ValidationError, match="exactly one"):
+        with pytest.raises(tr.ValidationError) as err:
             tr.run_whatif(catalog, usa_assessment, case_weights, spec)
+        assert str(err.value) == "expected exactly one entry for 'f.P4', found 0"
+        # an assessment may list a property twice, but not one that is swept
+        twice = dataclasses.replace(
+            usa_assessment, entries=usa_assessment.entries + (tr.AssessmentEntry("f.P6", 0.0),)
+        )
+        spec = tr.SensitivitySpec("property", "f.P6", 0.1, 0.0, 0.05)
+        with pytest.raises(tr.ValidationError) as err:
+            tr.run_whatif(catalog, twice, case_weights, spec)
+        assert str(err.value) == "expected exactly one entry for 'f.P6', found 2"
+
+    def test_descending_grid_whose_first_point_breaks_its_cap_builds_no_row(
+        self, catalog, usa_assessment, case_weights, monkeypatch
+    ):
+        # f.P1 has cap 0.5, and the grid starts above it
+        built = []
+        monkeypatch.setattr(report, "SweepRow", lambda *row: built.append(row))
+        spec = tr.SensitivitySpec("property", "f.P1", 0.6, 0.0, 0.1)
+        with pytest.raises(tr.ValidationError) as err:
+            tr.run_whatif(catalog, usa_assessment, case_weights, spec)
+        assert str(err.value) == "value 0.6 for 'f.P1' exceeds its cap 0.5 (strict mode)"
+        assert built == []
 
     def test_text_and_csv_render(self, catalog, usa_assessment, case_weights):
         spec = tr.SensitivitySpec("property", "f.P1", 0.5, 0.0, 0.25)
