@@ -41,9 +41,9 @@ EXIT_IO = 2
 def _parse_weights(args: argparse.Namespace) -> WeightVector:
     """Weights from --weights h,n,f or the category-keyed long flags."""
     long_form = (args.weight_hostile, args.weight_neutral, args.weight_friendly)
-    if args.weights and any(w is not None for w in long_form):
+    if args.weights is not None and any(w is not None for w in long_form):
         raise ValidationError("use either --weights or the --weight-* flags, not both")
-    if args.weights:
+    if args.weights is not None:
         parts = args.weights.split(",")
         if len(parts) != 3:
             raise ValidationError(

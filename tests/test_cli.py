@@ -394,6 +394,10 @@ STAGE_FAILURES = {
         EVALUATE + ["--weights", "0.4,0.6"], 1,
         "error: weights: --weights takes three comma-separated values "
         "ordered hostile,neutral,friendly\n"),
+    "weights_empty": (
+        EVALUATE + ["--weights", ""], 1,
+        "error: weights: --weights takes three comma-separated values "
+        "ordered hostile,neutral,friendly\n"),
     "weights_not_numbers": (
         EVALUATE + ["--weights", "0.4,x,0.4"], 1,
         "error: weights: --weights values must be numbers, got '0.4,x,0.4'\n"),
