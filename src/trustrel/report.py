@@ -14,6 +14,8 @@ import csv
 import io
 import math
 from array import array
+from collections.abc import Iterator
+from itertools import repeat
 from pathlib import Path
 
 from .algebra import (
@@ -402,12 +404,15 @@ def run_whatif(
 
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
-    reported as the flip point.  What the grid leaves fixed is computed
-    once.  Each point is computed on plain floats by the operations that
-    evaluating it alone performs, so each row is bit for bit that
-    evaluation's, and is checked by the same functions that the value
-    types call.  The sweep stops at its first failing grid point, with
-    the error that evaluating that point alone raises.
+    reported as the flip point.  One loop evaluates the points of either
+    source, each 11 floats (value, masses, weights, the scale's four
+    edges): the weight frame below, or the swept property's value added
+    to its category's prefix and tail.  Each point is computed on plain
+    floats by the operations that evaluating it alone performs, so each
+    row is bit for bit that evaluation's, and is checked by the same
+    functions that the value types call.  The sweep stops at its first
+    failing point with the error that evaluating it alone raises: the
+    point's own checks, then its source's error.
 
     A weight sweep's reweighted weights and scales do not depend on the
     assessment, so the process keeps one frame of them per swept
@@ -422,53 +427,26 @@ def run_whatif(
     base_label = base.label
     masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
     if spec.target_kind == "weight":
-        frame = _weight_frame(weights, spec.target_category(), signs, spec)
-        rows, first_flip = _weight_rows(frame, masses, signs, base_label)
+        points = _weight_points(weights, spec, signs, masses)
     else:
-        w = [weights.hostile, weights.neutral, weights.friendly]
-        sh, sn, sf = signs.hostile, signs.neutral, signs.friendly
-        b = base.bounds
-        lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
-        # the swept category adds the entries before the swept one, the
-        # value, then the entries after it, as aggregate_masses does, which
-        # found every entry's id in the catalog
-        prop = catalog.by_id.get(spec.target)
-        category = None if prop is None else prop.category
-        found, prefix, tail = 0, 0.0, []
-        for entry in assessment.entries:
-            if entry.property_id == spec.target:
-                found += 1
-            elif catalog.by_id[entry.property_id].category is category:
-                if found:
-                    tail.append(entry.value)
-                else:
-                    prefix += entry.value
-        if found != 1:
-            raise ValidationError(f"expected exactly one entry for {spec.target!r}, found {found}")
-        index = CATEGORIES.index(category)
-        rows = []
-        first_flip = None
-        for value in spec.values():
-            # the other entries passed their checks in base_masses
-            total = prefix + value
-            for later in tail:
-                total += later
-            # no observed-value range check: SensitivitySpec.values() clamps to [0, 1]
-            breach = _cap_breach(prop, value, mode) or _total_breach(category, total)
-            if breach:
-                raise ValidationError(breach)
-            # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
-            masses[index] = total
-            # compute_trust_mass, compute_strength, classify, TrustEvaluation
-            trust_mass = masses[0] * sh * w[0] + masses[1] * sn * w[1] + masses[2] * sf * w[2]
-            strength = masses[0] * w[0] + masses[1] * w[1] + masses[2] * w[2]
-            label = _classify(trust_mass, lower, upper, band_low, band_high)
-            _check_strength(strength)
-            flipped = label is not base_label
-            if flipped and first_flip is None:
-                first_flip = value
-            # _value_ is the member's value, read without the Enum.value property
-            rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
+        points = _property_points(catalog, assessment, spec, mode, masses, weights, base.bounds)
+    # masses are floats, so float signs give the int signs' bits, multiplied faster
+    sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
+    rows = []
+    first_flip = None
+    for value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high in points:
+        # compute_trust_mass, compute_strength, classify, TrustEvaluation
+        trust_mass = mh * sh * wh + mn * sn * wn + mf * sf * wf
+        strength = mh * wh + mn * wn + mf * wf
+        # a side of the scale with no weight is the int 0 (as a float it is
+        # never 0.0), which the off-scale message prints as "0"
+        label = _classify(trust_mass, lower or 0, upper or 0, band_low, band_high)
+        _check_strength(strength)
+        flipped = label is not base_label
+        if flipped and first_flip is None:
+            first_flip = value
+        # _value_ is the member's value, read without the Enum.value property
+        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,
@@ -478,36 +456,56 @@ def run_whatif(
     )
 
 
-def _weight_rows(
-    frame: tuple[array, str | None],
-    masses: list[float],
-    signs: ScalarConfig,
-    base_label: RelationCategory,
-) -> tuple[list[SweepRow], float | None]:
-    """A weight sweep's rows from its frame, with run_whatif's checks in
-    its order: each point's own, then the frame's weight error, if any."""
-    grid, error = frame
-    mh, mn, mf = masses
-    # masses[i] * sign * w[i] multiplies left to right: the first product is shared
-    th, tn, tf = mh * signs.hostile, mn * signs.neutral, mf * signs.friendly
-    rows = []
-    first_flip = None
-    points = iter(grid)
-    for value, wh, wn, wf, lower, upper, band_low, band_high in zip(*[points] * 8):
-        # compute_trust_mass, compute_strength, classify, TrustEvaluation
-        trust_mass = th * wh + tn * wn + tf * wf
-        strength = mh * wh + mn * wn + mf * wf
-        # a side of the scale with no weight is the int 0 (as a float it is
-        # never 0.0), which the off-scale message prints as "0"
-        label = _classify(trust_mass, lower or 0, upper or 0, band_low, band_high)
-        _check_strength(strength)
-        flipped = label is not base_label
-        if flipped and first_flip is None:
-            first_flip = value
-        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
+def _weight_points(
+    weights: WeightVector, spec: SensitivitySpec, signs: ScalarConfig, masses: list
+) -> Iterator[tuple]:
+    """A weight sweep's points from its frame, then the frame's error."""
+    grid, error = _weight_frame(weights, spec.target_category(), signs, spec)
+    floats = iter(grid)
+    # zip reads its arguments in turn: the value, the masses, the frame's other seven
+    yield from zip(floats, *map(repeat, masses), *[floats] * 7)
     if error is not None:
         raise ValidationError(error)
-    return rows, first_flip
+
+
+def _property_points(
+    catalog: PropertyCatalog, assessment: Assessment, spec: SensitivitySpec, mode: str,
+    masses: list, weights: WeightVector, bounds: ScalarBounds,
+) -> Iterator[tuple]:
+    """A property sweep's points, each cap or total breach raised in place."""
+    # the swept category adds the entries before the swept one, the value,
+    # then the entries after it, as aggregate_masses does, which found every
+    # entry's id in the catalog
+    prop = catalog.by_id.get(spec.target)
+    category = None if prop is None else prop.category
+    found, prefix, tail = 0, 0.0, []
+    for entry in assessment.entries:
+        if entry.property_id == spec.target:
+            found += 1
+        elif catalog.by_id[entry.property_id].category is category:
+            if found:
+                tail.append(entry.value)
+            else:
+                prefix += entry.value
+    if found != 1:
+        raise ValidationError(f"expected exactly one entry for {spec.target!r}, found {found}")
+    index = CATEGORIES.index(category)
+    wh, wn, wf = weights.hostile, weights.neutral, weights.friendly
+    b = bounds
+    lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
+    for value in spec.values():
+        # the other entries passed their checks in base_masses
+        total = prefix + value
+        for later in tail:
+            total += later
+        # no observed-value range check: SensitivitySpec.values() clamps to [0, 1]
+        breach = _cap_breach(prop, value, mode) or _total_breach(category, total)
+        if breach:
+            raise ValidationError(breach)
+        # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
+        masses[index] = total
+        mh, mn, mf = masses
+        yield value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high
 
 
 # --- band table documents ----------------------------------------------------
