@@ -412,7 +412,8 @@ def run_whatif(
     row is bit for bit that evaluation's, and is checked by the same
     functions that the value types call.  The sweep stops at its first
     failing point with the error that evaluating it alone raises: the
-    point's own checks, then its source's error.
+    loop checks each point it gets, and a source raises in place of a
+    point it cannot give (a cap or category-total breach, or the frame's).
 
     A weight sweep's reweighted weights and scales do not depend on the
     assessment, so the process keeps one frame of them per swept
