@@ -15,29 +15,27 @@ the two coincide precisely when no hostile evidence contributed.
 All functions here are pure and operate on immutable value types, so
 they are safe to call from any number of threads.
 
-Every frozen value type built per document, entry or grid point is
-declared with ``_frozen``: ``dataclass(frozen=True)`` with an
-``__init__`` of the same signature and defaults that writes each field
-straight into the instance dict, then calls ``__post_init__`` if the
-class has one.  The frozen dataclass ``__init__`` instead stores each
-field through ``object.__setattr__``, a call per field.  Immutability,
-``dataclasses.fields``/``replace`` and pickling are the dataclass's own
-either way.  The types built once at set-up and read on every document
-(``WeightVector``, ``ScalarConfig``, ``PropertyDef`` and
-``PropertyCatalog``) keep the dataclass ``__init__``: on CPython 3.11
-and 3.12 reading an attribute of an instance whose dict was written
-takes about 35 ns, against 14 ns when its fields were stored through
-``object.__setattr__``.
+Every frozen value type is declared with ``_frozen``:
+``dataclass(frozen=True)`` with an ``__init__`` of the same signature and
+defaults that writes each field straight into the instance dict, then
+calls ``__post_init__`` if the class has one, where the dataclass
+``__init__`` would call ``object.__setattr__`` per field.  Immutability,
+``dataclasses.fields``/``replace`` and pickling are the dataclass's own.
+On CPython 3.11 and 3.12 an attribute read costs about 35 ns once the
+instance dict was written, against 14 ns before; the weights, the signs
+and the catalog read on every document have their dict written anyway,
+by ``as_dict`` or the cached ``by_id``, so only ``PropertyDef`` reads
+cost more, about 20 of them per document in the assessment scan.
 
-All twenty share one ``__eq__``, ``__hash__`` and ``__repr__``
-(``_compared``) in place of the three that ``dataclass()`` would compile
-from generated source for each class at import, a cost every CLI call
-pays; ``dataclass()`` still generates each ``__init__`` and the frozen
-``__setattr__`` and ``__delattr__``.  The shared methods behave as the
-generated ones do on Python 3.10 to 3.12: a value is compared and hashed
-as the tuple of its fields.  From 3.13 on the generated ``__eq__``
-compares field by field, so there two values holding the same NaN object
-differ; the shared one finds them equal on every Python.
+All twenty share one ``__eq__``, ``__hash__`` and ``__repr__`` in place
+of the three that ``dataclass()`` would compile from generated source
+for each class at import, a cost every CLI call pays; ``dataclass()``
+still generates the frozen ``__setattr__`` and ``__delattr__``.  The
+shared methods behave as the generated ones do on Python 3.10 to 3.12: a
+value is compared and hashed as the tuple of its fields.  From 3.13 on
+the generated ``__eq__`` compares field by field, so there two values
+holding the same NaN object differ; the shared one finds them equal on
+every Python.
 """
 
 from __future__ import annotations
@@ -93,20 +91,14 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def _compared(cls: type) -> type:
-    """Give a class declared ``dataclass(frozen=True, repr=False, eq=False)``
-    the shared ``__eq__``, ``__hash__`` and ``__repr__`` (see the module
-    docstring).  Every field must be positional and compared."""
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
-    return cls
-
-
 def _frozen(cls: type) -> type:
-    """A ``_compared`` frozen dataclass with a generated ``__init__`` that
-    writes the fields into the instance dict (see the module docstring).
-    Field defaults must be plain values, and no field may be named
-    ``self`` or ``fields``."""
-    cls = _compared(dataclass(frozen=True, init=False, repr=False, eq=False)(cls))
+    """A frozen dataclass with the shared ``__eq__``, ``__hash__`` and
+    ``__repr__`` and a generated ``__init__`` that writes the fields into
+    the instance dict (see the module docstring).  Every field is
+    positional and compared, field defaults must be plain values, and no
+    field may be named ``self`` or ``fields``."""
+    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     namespace = {"__name__": cls.__module__}
     declared = fields(cls)
     params, body = [], ["fields = self.__dict__"]
@@ -141,8 +133,7 @@ class _PerCategory(_Fields):
         return getattr(self, category.value)
 
 
-@_compared
-@dataclass(frozen=True, repr=False, eq=False)
+@_frozen
 class WeightVector(_PerCategory):
     """Observer emphasis per category: each in [0, 1], summing to 1."""
 
@@ -167,8 +158,7 @@ class WeightVector(_PerCategory):
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-@_compared
-@dataclass(frozen=True, repr=False, eq=False)
+@_frozen
 class ScalarConfig(_PerCategory):
     """Direction of each category's contribution: exactly -1 or +1."""
 

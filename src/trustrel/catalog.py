@@ -8,8 +8,9 @@ value of each property together with the evidence behind it.  Summing a
 category's observed values yields the evidence mass fed to the algebra.
 
 Two cap modes govern observed values: ``strict`` (the default) bounds
-every value by its property's cap, ``free`` bounds values only by
-[0, 1].  Either way a category's total mass may not exceed 1.
+every value, and the total of the entries that name one property, by
+that property's cap; ``free`` bounds values only by [0, 1].  Either way
+a category's total mass may not exceed 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _compared, _frozen
+from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _frozen
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -52,8 +53,7 @@ class DateWindow:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
-@_compared
-@dataclass(frozen=True, repr=False, eq=False)
+@_frozen
 class PropertyDef:
     """One named, capped contribution within a category's catalog."""
 
@@ -71,8 +71,7 @@ class PropertyDef:
             )
 
 
-@_compared
-@dataclass(frozen=True, repr=False, eq=False)
+@_frozen
 class PropertyCatalog:
     """Versioned set of property definitions covering all three categories."""
 
@@ -80,7 +79,7 @@ class PropertyCatalog:
     properties: tuple[PropertyDef, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "properties", tuple(self.properties))
+        self.__dict__["properties"] = tuple(self.properties)
         seen: set[str] = set()
         for prop in self.properties:
             if prop.id in seen:
@@ -182,11 +181,12 @@ def aggregate_masses(
     """Sum observed values into one evidence mass per category.
 
     Properties never referenced contribute 0.  Raises ValidationError
-    on an unknown property id, a value above its cap in strict mode, or
-    a category total above 1.  When ``validate_assessment`` found no
-    violation in this assessment with this same catalog object and mode,
-    the masses it kept are returned unscanned.  This function keeps none,
-    so calling it twice without validating scans twice.
+    on an unknown property id, a value or a property's total above its
+    cap in strict mode, or a category total above 1.  When
+    ``validate_assessment`` found no violation in this assessment with
+    this same catalog object and mode, the masses it kept are returned
+    unscanned.  This function keeps none, so calling it twice without
+    validating scans twice.
     """
     masses = _kept(assessment, catalog, mode)
     return _scan(assessment, catalog, mode) if masses is None else masses
@@ -199,8 +199,9 @@ def validate_assessment(
 ) -> AssessmentReport:
     """Collect every violation in an assessment without stopping early.
 
-    Violations: unknown property ids, cap breaches (strict mode),
-    category totals above 1, evidence dated outside the window.
+    Violations: unknown property ids, cap breaches by a value or by a
+    property's total (strict mode), category totals above 1, evidence
+    dated outside the window.
     Warnings: entries with no evidence at all, duplicated property ids.
     """
     report = AssessmentReport()
@@ -256,13 +257,12 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
     # one slot per category, in CATEGORIES order: indexing a list skips
     # hashing a RelationCategory, which Enum does in Python, per entry
     totals = [0.0, 0.0, 0.0]
-    seen: set[str] = set()
+    running: dict[str, float] = {}  # each property's total over the entries so far
     for entry in assessment.entries:
-        pid = entry.property_id
+        pid, value = entry.property_id, entry.value
         if report is not None:
-            if pid in seen:
+            if pid in running:
                 report.warnings.append(f"property {pid!r} appears more than once")
-            seen.add(pid)
             if not entry.evidence:
                 report.warnings.append(f"entry {pid!r} has no supporting evidence")
             for link in entry.evidence:
@@ -271,14 +271,16 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
                         f"evidence for {pid!r} dated {link.date} "
                         f"falls outside the window {window}"
                     )
+        before = running.get(pid, 0.0)
+        running[pid] = before + value
         prop = by_id.get(pid)
         if prop is None:
             violation(f"unknown property id {pid!r}")
             continue
-        message = _cap_breach(prop, entry.value, mode)
+        message = _cap_breach(prop, value, mode, before)
         if message is not None:
             violation(message)
-        totals[CATEGORIES.index(prop.category)] += entry.value
+        totals[CATEGORIES.index(prop.category)] += value
     for category, total in zip(CATEGORIES, totals):
         message = _total_breach(category, total)
         if message is not None:
@@ -291,10 +293,17 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
     return masses
 
 
-def _cap_breach(prop: PropertyDef, value: float, mode: str) -> str | None:
-    """Why ``value`` may not be observed for ``prop``, if it breaks the cap."""
-    over = mode == "strict" and value > prop.cap + TOLERANCE
-    return f"value {value} for {prop.id!r} exceeds its cap {prop.cap} (strict mode)" if over else None
+def _cap_breach(prop: PropertyDef, value: float, mode: str, before: float = 0.0) -> str | None:
+    """Why ``value`` may not be observed for ``prop`` in strict mode: it
+    breaks the cap by itself, or brings the total of the property's entries
+    above it from ``before``, the total of the earlier ones.  A total that
+    was above the cap already is not reported again."""
+    cap = prop.cap + TOLERANCE
+    if mode == "strict" and value > cap:
+        return f"value {value} for {prop.id!r} exceeds its cap {prop.cap} (strict mode)"
+    if mode == "strict" and before <= cap < before + value:
+        return f"entries for {prop.id!r} total {before + value}, above its cap {prop.cap} (strict mode)"
+    return None
 
 
 def _total_breach(category: RelationCategory, total: float) -> str | None:

@@ -177,7 +177,45 @@ class TestValidateAssessment:
         report = tr.validate_assessment(
             make_assessment([entry("f.P3", 0.05), entry("f.P3", 0.05)]), catalog
         )
+        assert report.ok
         assert any("more than once" in w for w in report.warnings)
+
+    def test_a_property_listed_twice_may_not_exceed_its_cap_in_total(
+        self, catalog, usa_assessment, case_weights
+    ):
+        # the fixture observes f.P6 at its cap 0.025; a second entry at the
+        # cap brings the property's total to 0.05
+        twice = dataclasses.replace(
+            usa_assessment, entries=usa_assessment.entries + (entry("f.P6", 0.025),)
+        )
+        message = "entries for 'f.P6' total 0.05, above its cap 0.025 (strict mode)"
+        report = tr.validate_assessment(twice, catalog)
+        assert report.violations == [message]
+        assert report.warnings == ["property 'f.P6' appears more than once"]
+        for run in (lambda: tr.aggregate_masses(twice, catalog),
+                    lambda: tr.build_report(catalog, twice, case_weights)):
+            with pytest.raises(tr.ValidationError) as err:
+                run()
+            assert str(err.value) == message
+        # free mode bounds each value by [0, 1] only
+        assert tr.validate_assessment(twice, catalog, "free").ok
+        assert tr.aggregate_masses(twice, catalog, "free").friendly == 0.725
+
+    @pytest.mark.parametrize("values, violations", [
+        ((0.0125, 0.0125), []),
+        ((0.02, 0.02), ["entries for 'f.P6' total 0.04, above its cap 0.025 (strict mode)"]),
+        # an entry above the cap by itself keeps the single-value message
+        ((0.02, 0.03), ["value 0.03 for 'f.P6' exceeds its cap 0.025 (strict mode)"]),
+        # a total already above the cap is not reported again
+        ((0.03, 0.01), ["value 0.03 for 'f.P6' exceeds its cap 0.025 (strict mode)"]),
+        ((0.02, 0.02, 0.02), ["entries for 'f.P6' total 0.04, above its cap 0.025 (strict mode)"]),
+        ((0.01, 0.01, 0.01), ["entries for 'f.P6' total 0.03, above its cap 0.025 (strict mode)"]),
+    ], ids=["at_cap", "total_above", "value_above", "after_value_above", "reported_once",
+            "third_entry"])
+    def test_cap_bounds_each_value_and_the_running_total(self, catalog, values, violations):
+        report = tr.validate_assessment(make_assessment([entry("f.P6", v) for v in values]),
+                                        catalog)
+        assert report.violations == violations
 
 
 class TestDocuments:

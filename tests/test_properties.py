@@ -590,19 +590,19 @@ def _sorted_store(doc):
 # --- the one assessment scan against the two it replaced ---------------------
 
 def _reference_aggregate(assessment, catalog, mode="strict"):
-    """``aggregate_masses`` as it was before it shared its scan."""
+    """``aggregate_masses`` as it was before it shared its scan, with the
+    strict-mode cap bounding a property's total too."""
     if mode not in CAP_MODES:
         raise tr.ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
     totals = {c: 0.0 for c in tr.CATEGORIES}
+    observed: dict[str, float] = {}
     for entry in assessment.entries:
         prop = catalog.by_id.get(entry.property_id)
         if prop is None:
             raise tr.ValidationError(f"unknown property id {entry.property_id!r}")
-        if mode == "strict" and entry.value > prop.cap + TOLERANCE:
-            raise tr.ValidationError(
-                f"value {entry.value} for {entry.property_id!r} exceeds its "
-                f"cap {prop.cap} (strict mode)"
-            )
+        message = _reference_cap_breach(prop, entry.value, observed, mode)
+        if message is not None:
+            raise tr.ValidationError(message)
         totals[prop.category] += entry.value
     for category in tr.CATEGORIES:
         if totals[category] > 1.0 + TOLERANCE:
@@ -616,13 +616,30 @@ def _reference_aggregate(assessment, catalog, mode="strict"):
     )
 
 
+def _reference_cap_breach(prop, value, observed, mode):
+    """The strict-mode cap breach of one entry, if any: its value above the
+    cap, or the first entry after which its property's total, summed in
+    entry order into ``observed``, is above the cap."""
+    earlier = observed.get(prop.id)
+    total = observed[prop.id] = value if earlier is None else earlier + value
+    if mode != "strict":
+        return None
+    if value > prop.cap + TOLERANCE:
+        return f"value {value} for {prop.id!r} exceeds its cap {prop.cap} (strict mode)"
+    if total > prop.cap + TOLERANCE and (earlier is None or earlier <= prop.cap + TOLERANCE):
+        return f"entries for {prop.id!r} total {total}, above its cap {prop.cap} (strict mode)"
+    return None
+
+
 def _reference_validate(assessment, catalog, mode="strict"):
-    """``validate_assessment`` as it was before it shared its scan."""
+    """``validate_assessment`` as it was before it shared its scan, with the
+    strict-mode cap bounding a property's total too."""
     if mode not in CAP_MODES:
         raise tr.ValidationError(f"cap mode must be one of {CAP_MODES}, got {mode!r}")
     report = tr.AssessmentReport()
     totals = {c: 0.0 for c in tr.CATEGORIES}
     seen: set[str] = set()
+    observed: dict[str, float] = {}
     for entry in assessment.entries:
         if entry.property_id in seen:
             report.warnings.append(
@@ -645,11 +662,9 @@ def _reference_validate(assessment, catalog, mode="strict"):
                 f"unknown property id {entry.property_id!r}"
             )
             continue
-        if mode == "strict" and entry.value > prop.cap + TOLERANCE:
-            report.violations.append(
-                f"value {entry.value} for {entry.property_id!r} exceeds its "
-                f"cap {prop.cap} (strict mode)"
-            )
+        message = _reference_cap_breach(prop, entry.value, observed, mode)
+        if message is not None:
+            report.violations.append(message)
         totals[prop.category] += entry.value
     for category in tr.CATEGORIES:
         if totals[category] > 1.0 + TOLERANCE:

@@ -1,14 +1,14 @@
 """The dataclass contract of every frozen value type, one table for all.
 
-Most are declared with ``algebra._frozen``, whose generated ``__init__``
-fills the instance dict directly, and the rest with the plain frozen
-``dataclass``; all of them share one ``__eq__``, ``__hash__`` and
-``__repr__`` (``algebra._compared``).  These tests pin what a caller
-sees of either: fields in order, construction, ``replace``,
+All are declared with ``algebra._frozen``: a frozen dataclass whose
+generated ``__init__`` fills the instance dict directly, and which shares
+``algebra``'s one ``__eq__``, ``__hash__`` and ``__repr__``.  These tests
+pin what a caller sees of them: fields in order, construction, ``replace``,
 immutability, equality and hashing, ``repr``, pickling and copying, the
 dict form, and every message a ``__post_init__`` raises.  They also pin
 the structure that keeps import cheap (the only methods compiled from
-generated source are ``__init__``, ``__setattr__`` and ``__delattr__``)
+generated source are ``__init__``, ``__setattr__`` and ``__delattr__``,
+and the ``__init__`` is ``_frozen``'s)
 and check the shared methods against a twin made by
 ``dataclasses.make_dataclass`` over drawn field values, on every
 Python.  The one case where the twin differs, on 3.13 and later, is
@@ -168,6 +168,11 @@ def test_eq_hash_and_repr_are_shared_and_only_three_methods_are_generated(
     generated = {name for name, member in vars(cls).items()
                  if callable(member) and inspect.unwrap(member).__code__.co_filename == "<string>"}
     assert generated == {"__init__", "__setattr__", "__delattr__"}
+    # _frozen's __init__ reads no name but the instance dict, which it fills
+    # field by field, and __post_init__; the dataclass one stores each field
+    # through object.__setattr__
+    post_init = ("__post_init__",) if hasattr(cls, "__post_init__") else ()
+    assert cls.__init__.__code__.co_names == ("__dict__",) + post_init
 
 
 #: Field values for the twin comparison: -0.0 beside 0.0, 1 beside 1.0
