@@ -15,33 +15,39 @@ the two coincide precisely when no hostile evidence contributed.
 All functions here are pure and operate on immutable value types, so
 they are safe to call from any number of threads.
 
-Every frozen value type is declared with ``_frozen``:
-``dataclass(frozen=True)`` with an ``__init__`` of the same signature and
-defaults that writes each field straight into the instance dict, then
-calls ``__post_init__`` if the class has one, where the dataclass
-``__init__`` would call ``object.__setattr__`` per field.  Immutability,
-``dataclasses.fields``/``replace`` and pickling are the dataclass's own.
-On CPython 3.11 and 3.12 an attribute read costs about 35 ns once the
-instance dict was written, against 14 ns before; the weights, the signs
-and the catalog read on every document have their dict written anyway,
-by ``as_dict`` or the cached ``by_id``, so only ``PropertyDef`` reads
-cost more, about 20 of them per document in the assessment scan.
+Every frozen value type is declared with ``_frozen``: a dataclass with
+an ``__init__`` of the same signature and defaults that writes each field
+straight into the instance dict, then calls ``__post_init__`` if the
+class has one, where the dataclass ``__init__`` would call
+``object.__setattr__`` per field.  ``dataclasses.fields``/``replace`` and
+pickling are the dataclass's own.  On CPython 3.11 and 3.12 an attribute
+read costs about 35 ns once the instance dict was written, against 14 ns
+before; the weights, the signs and the catalog read on every document
+have their dict written anyway, by ``as_dict`` or the cached ``by_id``,
+so only ``PropertyDef`` reads cost more, about 20 of them per document in
+the assessment scan.
 
-All twenty share one ``__eq__``, ``__hash__`` and ``__repr__`` in place
-of the three that ``dataclass()`` would compile from generated source
-for each class at import, a cost every CLI call pays; ``dataclass()``
-still generates the frozen ``__setattr__`` and ``__delattr__``.  The
-shared methods behave as the generated ones do on Python 3.10 to 3.12: a
-value is compared and hashed as the tuple of its fields.  From 3.13 on
-the generated ``__eq__`` compares field by field, so there two values
-holding the same NaN object differ; the shared one finds them equal on
-every Python.
+All twenty share one ``__eq__``, ``__hash__``, ``__repr__``,
+``__setattr__`` and ``__delattr__`` in place of the five that
+``dataclass(frozen=True)`` would compile from generated source for each
+class at import, a cost every CLI call pays; only ``_frozen``'s
+``__init__`` is compiled per class (and from 3.13 on one batch per
+``dataclass()`` call, whatever it generates).  The shared
+``__setattr__`` and ``__delattr__`` raise the dataclass's
+``FrozenInstanceError`` for every name, on a subclass too, where the
+generated ones refuse only field names; ``__dataclass_params__.frozen``
+reads False, so ``dataclass()`` refuses a ``frozen=True`` subclass.
+The shared ``__eq__`` and ``__hash__`` behave as the generated ones do
+on Python 3.10 to 3.12: a value is compared and hashed as the tuple of
+its fields.  From 3.13 on the generated ``__eq__`` compares field by
+field, so there two values holding the same NaN object differ; the
+shared one finds them equal on every Python.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from reprlib import recursive_repr
 
@@ -91,14 +97,24 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({shown})"
 
 
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _frozen(cls: type) -> type:
-    """A frozen dataclass with the shared ``__eq__``, ``__hash__`` and
-    ``__repr__`` and a generated ``__init__`` that writes the fields into
-    the instance dict (see the module docstring).  Every field is
-    positional and compared, field defaults must be plain values, and no
-    field may be named ``self`` or ``fields``."""
-    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    """A dataclass frozen by the shared ``__setattr__`` and ``__delattr__``,
+    with the shared ``__eq__``, ``__hash__`` and ``__repr__`` and a
+    generated ``__init__`` that writes the fields into the instance dict
+    (see the module docstring).  Every field is positional and compared,
+    field defaults must be plain values, and no field may be named
+    ``self`` or ``fields``."""
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     namespace = {"__name__": cls.__module__}
     declared = fields(cls)
     params, body = [], ["fields = self.__dict__"]

@@ -16,12 +16,15 @@ a category's total mass may not exceed 1.
 from __future__ import annotations
 
 import json
+import os
+import stat
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _frozen
+from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen, _repr
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -154,12 +157,16 @@ class Assessment:
         return f"{self.subject}->{self.object}@{self.window}"
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class AssessmentReport:
-    """Everything wrong (and questionable) about an assessment, at once."""
+    """Everything wrong (and questionable) about an assessment, at once.
+
+    Mutable; ``dataclass()`` compiles only its ``__init__``."""
 
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    __eq__, __hash__, __repr__ = _eq, None, _repr
 
     @property
     def ok(self) -> bool:
@@ -512,7 +519,22 @@ def _dumps(doc: dict) -> str:
 
 
 def _save_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(_dumps(doc) + "\n", encoding="utf-8")
+    """Write a document whole or not at all: into a new file beside the
+    target, renamed over it once complete, so that a crash or a reader
+    never sees half of it.  A symlink is followed, and the file keeps the
+    mode ``write_text`` would leave.  Nothing is fsynced."""
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    out = open(temp, "x", encoding="utf-8")
+    try:
+        with out:
+            out.write(_dumps(doc) + "\n")
+        with suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def load_catalog(path: str | Path) -> PropertyCatalog:

@@ -246,8 +246,8 @@ class SensitivitySpec:
         direction = 1.0 if self.stop >= self.start else -1.0
         # clamp away float drift so grid points stay inside [0, 1]
         return [
-            min(max(self.start + direction * i * self.step, 0.0), 1.0)
-            for i in range(count + 1)
+            0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            for x in [self.start + direction * i * self.step for i in range(count + 1)]
         ]
 
     def _last_index(self) -> float:

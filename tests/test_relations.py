@@ -3,7 +3,11 @@
 import copy
 import dataclasses
 import datetime as dt
+import errno
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -377,6 +381,111 @@ class TestPersistence:
         path.write_text('{"nations": []}', encoding="utf-8")
         with pytest.raises(tr.SchemaError, match="records"):
             tr.RelationStore.load(path)
+
+
+def _store_of(nation_ids, catalog):
+    """A store with every ordered pair of ``nation_ids`` evaluated."""
+    store = tr.RelationStore()
+    for nation_id in nation_ids:
+        store.register_nation(tr.Nation(nation_id))
+    for subject in nation_ids:
+        for obj in nation_ids:
+            if subject != obj:
+                store.evaluate_relation(
+                    subject, obj, empty_assessment(subject, obj), catalog, CASE_WEIGHTS)
+    return store
+
+
+class TestCrashSafeSave:
+    def test_a_reader_during_saves_only_ever_loads_one_whole_store(self, catalog, tmp_path):
+        small = _store_of(["USA", "GBR"], catalog)
+        large = _store_of([f"N{i:02}" for i in range(16)], catalog)
+        path = tmp_path / "store.json"
+        small.save(path)
+        saved, errors = threading.Event(), []
+
+        def saver():
+            try:
+                for _ in range(25):
+                    large.save(path)
+                    small.save(path)
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+            saved.set()
+
+        thread = threading.Thread(target=saver)
+        thread.start()
+        try:
+            loads = [tr.RelationStore.load(path)]
+            while not saved.is_set():
+                loads.append(tr.RelationStore.load(path))
+        finally:
+            thread.join()
+        assert errors == []
+        assert all(loaded in (small, large) for loaded in loads)
+
+    def test_a_save_that_fails_mid_write_leaves_the_old_file(self, store, monkeypatch, tmp_path):
+        path = tmp_path / "store.json"
+        store.save(path)
+        before = path.read_bytes()
+        store.register_nation(tr.Nation("DEU", "Germany"))
+
+        class HalfWriter:
+            def __init__(self, out):
+                self.out = out
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.out.close()
+
+            def write(self, text):
+                self.out.write(text[:len(text) // 2])
+                self.out.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tr.catalog, "open", lambda *args, **kwargs: HalfWriter(
+            open(*args, **kwargs)), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.json"]
+
+    def test_a_failed_rename_leaves_the_old_file(self, store, monkeypatch, tmp_path):
+        path = tmp_path / "store.json"
+        store.save(path)
+        before = path.read_bytes()
+        store.register_nation(tr.Nation("DEU", "Germany"))
+
+        def no_replace(source, target):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(PermissionError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.json"]
+
+    def test_modes_are_those_write_text_gives(self, store, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}\n", encoding="utf-8")
+        path = tmp_path / "store.json"
+        store.save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        path.chmod(0o640)
+        store.save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_symlink_is_followed_not_replaced(self, store, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        link.symlink_to(real.name)
+        store.save(link)
+        store.register_nation(tr.Nation("DEU", "Germany"))
+        store.save(link)
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert tr.RelationStore.load(real) == store
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
 
 
 def _set(*path, value):

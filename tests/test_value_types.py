@@ -1,15 +1,15 @@
 """The dataclass contract of every frozen value type, one table for all.
 
-All are declared with ``algebra._frozen``: a frozen dataclass whose
-generated ``__init__`` fills the instance dict directly, and which shares
-``algebra``'s one ``__eq__``, ``__hash__`` and ``__repr__``.  These tests
+All are declared with ``algebra._frozen``: a dataclass whose generated
+``__init__`` fills the instance dict directly, and which shares
+``algebra``'s one ``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__``
+and ``__delattr__``.  These tests
 pin what a caller sees of them: fields in order, construction, ``replace``,
 immutability, equality and hashing, ``repr``, pickling and copying, the
 dict form, and every message a ``__post_init__`` raises.  They also pin
-the structure that keeps import cheap (the only methods compiled from
-generated source are ``__init__``, ``__setattr__`` and ``__delattr__``,
-and the ``__init__`` is ``_frozen``'s)
-and check the shared methods against a twin made by
+the structure that keeps import cheap (``_frozen``'s ``__init__`` is the
+only method compiled from generated source, and a fresh import compiles
+no other) and check the shared methods against a twin made by
 ``dataclasses.make_dataclass`` over drawn field values, on every
 Python.  The one case where the twin differs, on 3.13 and later, is
 pinned apart: two values holding the same NaN object.
@@ -20,7 +20,11 @@ import dataclasses
 import datetime as dt
 import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,10 +99,12 @@ def test_every_frozen_value_type_is_in_the_table():
         obj for module in (tr.algebra, tr.catalog, tr.report, tr.relations)
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__module__ == module.__name__
-        and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen
+        and dataclasses.is_dataclass(obj)
     }
-    assert found == {case[0] for case in VALUE_TYPES}
-    assert len(found) == 20
+    frozen = {cls for cls in found if vars(cls).get("__setattr__") is tr.algebra._setattr}
+    assert frozen == {case[0] for case in VALUE_TYPES}
+    assert len(frozen) == 20
+    assert found - frozen == {tr.AssessmentReport}
 
 
 @CASES
@@ -161,18 +167,74 @@ def test_equality_hash_and_repr(cls, args, names, change):
 @CASES
 def test_eq_hash_and_repr_are_shared_and_only_three_methods_are_generated(
         cls, args, names, change):
-    shared = (tr.algebra._eq, tr.algebra._hash, tr.algebra._repr)
-    assert all(vars(cls)[name] is method
-               for name, method in zip(("__eq__", "__hash__", "__repr__"), shared))
+    shared = (tr.algebra._eq, tr.algebra._hash, tr.algebra._repr,
+              tr.algebra._setattr, tr.algebra._delattr)
+    assert all(vars(cls)[name] is method for name, method in zip(
+        ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"), shared))
     assert cls.__match_args__ == names
-    generated = {name for name, member in vars(cls).items()
-                 if callable(member) and inspect.unwrap(member).__code__.co_filename == "<string>"}
-    assert generated == {"__init__", "__setattr__", "__delattr__"}
+    assert _generated(cls) == {"__init__"}
     # _frozen's __init__ reads no name but the instance dict, which it fills
     # field by field, and __post_init__; the dataclass one stores each field
     # through object.__setattr__
     post_init = ("__post_init__",) if hasattr(cls, "__post_init__") else ()
     assert cls.__init__.__code__.co_names == ("__dict__",) + post_init
+
+
+def _generated(cls):
+    """Names of the methods of ``cls`` compiled from generated source."""
+    return {name for name, member in vars(cls).items()
+            if callable(member) and inspect.unwrap(member).__code__.co_filename == "<string>"}
+
+
+#: Source of a process that counts what a fresh ``import trustrel`` compiles
+#: from generated source.  The first import loads the standard library, whose
+#: own modules may compile generated source too; the second runs every
+#: trustrel module again.
+COUNT_GENERATED_SOURCE = """
+import sys
+import trustrel
+for name in [name for name in sys.modules if name.partition(".")[0] == "trustrel"]:
+    del sys.modules[name]
+count = 0
+def hook(event, args):
+    global count
+    count += event == "compile" and args[1] == "<string>"
+sys.addaudithook(hook)
+import trustrel
+print(count)
+"""
+
+
+def test_a_fresh_import_compiles_only_the_inits_from_generated_source():
+    # one __init__ per value type and AssessmentReport's; from 3.13 on
+    # dataclass() also compiles one batch per class, even an empty one
+    want = 21 if sys.version_info < (3, 13) else 41
+    src = Path(tr.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", COUNT_GENERATED_SOURCE],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) == want
+
+
+def test_assessment_report_matches_a_generated_twin():
+    twin = dataclasses.make_dataclass("AssessmentReport", [
+        (name, list, dataclasses.field(default_factory=list)) for name in ("violations", "warnings")])
+    cases = [(), (["over cap"],), (["over cap"], ["twice"]), ([], ["twice"]), ([], [])]
+    for args in cases:
+        ours, theirs = tr.AssessmentReport(*args), twin(*args)
+        assert repr(ours) == repr(theirs)
+        for other in cases:
+            assert (ours == tr.AssessmentReport(*other)) == (theirs == twin(*other))
+        assert ours.__eq__(theirs) is NotImplemented and ours != theirs
+        for value in (ours, theirs):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(value)
+    assert vars(tr.AssessmentReport)["__eq__"] is tr.algebra._eq
+    assert vars(tr.AssessmentReport)["__repr__"] is tr.algebra._repr
+    assert _generated(tr.AssessmentReport) == {"__init__"}
+    report = tr.AssessmentReport()
+    report.violations = ["set"]
+    assert report == tr.AssessmentReport(["set"])
 
 
 #: Field values for the twin comparison: -0.0 beside 0.0, 1 beside 1.0
@@ -213,6 +275,25 @@ def test_another_class_or_a_subclass_is_not_implemented(cls, args, names, change
         assert value.__eq__(other) is NotImplemented
         assert value != other
     assert sub.__eq__(value) is NotImplemented
+
+
+@CASES
+def test_set_and_delete_are_refused_for_every_name_on_a_subclass_too(cls, args, names, change):
+    # with the generated messages; the generated methods refuse only field
+    # names on a subclass, the shared ones every name
+    twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*args)
+    sub = type(f"Sub{cls.__name__}", (cls,), {})(*args)
+    for name in (*names, "other"):
+        for change_it in (lambda v: setattr(v, name, None), lambda v: delattr(v, name)):
+            messages = []
+            for value in (twin, cls(*args), sub):
+                with pytest.raises(dataclasses.FrozenInstanceError) as err:
+                    change_it(value)
+                messages.append(str(err.value))
+            assert messages == messages[:1] * 3
+    assert vars(sub) == dict(zip(names, args))
+    with pytest.raises(TypeError, match="cannot inherit frozen dataclass from a non-frozen one"):
+        dataclasses.dataclass(frozen=True)(type(f"Frozen{cls.__name__}", (cls,), {}))
 
 
 @pytest.mark.parametrize("make", [
