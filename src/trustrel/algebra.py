@@ -402,8 +402,10 @@ def classify_extended(trust_mass: float, bands: BandTable) -> str:
 
     Bands include their low edge and exclude their high edge, except
     the final band which includes both.  A score outside the table's
-    total cover is rejected.
+    total cover is rejected, as is a table with no bands.
     """
+    if not bands.bands:
+        raise ValidationError("band table has no bands")
     first, last = bands.bands[0], bands.bands[-1]
     if not first.low - TOLERANCE <= trust_mass <= last.high + TOLERANCE:
         raise ValidationError(

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from collections.abc import Iterator
-from itertools import repeat
 from pathlib import Path
 
 from .algebra import (
@@ -244,10 +242,11 @@ class SensitivitySpec:
         """The swept grid, from start to stop inclusive."""
         count = int(math.floor(self._last_index()))
         direction = 1.0 if self.stop >= self.start else -1.0
+        start, step = self.start, self.step
         # clamp away float drift so grid points stay inside [0, 1]
         return [
-            0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-            for x in [self.start + direction * i * self.step for i in range(count + 1)]
+            0.0 if (x := start + direction * i * step) < 0.0 else 1.0 if x > 1.0 else x
+            for i in range(count + 1)
         ]
 
     def _last_index(self) -> float:
@@ -347,51 +346,6 @@ def reweight(
     return WeightVector(*scaled)
 
 
-#: The last weight-sweep frame of each swept category, in ``CATEGORIES``
-#: order, as ``(key, frame)``: one list item is read or replaced at once,
-#: and a published pair is never changed, so threads share it unlocked.
-_WEIGHT_FRAMES: list = [None] * len(CATEGORIES)
-
-
-def _weight_frame(
-    weights: WeightVector, category: RelationCategory, signs: ScalarConfig,
-    spec: SensitivitySpec,
-) -> tuple[array, str | None]:
-    """What a weight sweep computes at each grid point without the
-    assessment, ``reweight`` then ``compute_bounds``, up to the first
-    point that fails.
-
-    A frame is ``(grid, error)``: ``grid`` holds eight floats per grid
-    point (value, the reweighted hostile, neutral and friendly weights,
-    then lower, upper, middle band low and high), and ``error`` is the
-    message of the first failing point, or None.
-    """
-    index = CATEGORIES.index(category)
-    others = [weights.hostile, weights.neutral, weights.friendly]
-    del others[index]
-    # exact bits, so 0.0 and -0.0 (which a row can print) are two keys
-    key = (
-        array("d", (*others, spec.start, spec.stop, spec.step)).tobytes(),
-        signs.hostile, signs.neutral, signs.friendly,
-    )
-    slot = _WEIGHT_FRAMES[index]
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    grid, error = array("d"), None
-    for value in spec.values():
-        try:
-            w = reweight(weights, category, value)
-            b = compute_bounds(w, signs)
-        except ValidationError as err:
-            error = str(err)
-            break
-        grid.extend((value, w.hostile, w.neutral, w.friendly,
-                     b.lower, b.upper, b.middle_band_low, b.middle_band_high))
-    frame = (grid, error)
-    _WEIGHT_FRAMES[index] = (key, frame)
-    return frame
-
-
 def run_whatif(
     catalog: PropertyCatalog,
     assessment: Assessment,
@@ -406,22 +360,17 @@ def run_whatif(
     flagged when its label differs, and the first such grid value is
     reported as the flip point.  One loop evaluates the points of either
     source, each 11 floats (value, masses, weights, the scale's four
-    edges): the weight frame below, or the swept property's value added
-    to its category's prefix and tail.  Each point is computed on plain
+    edges): the grid value reweighted with the other two weights and
+    scaled, or the swept property's value added to its category's prefix
+    and tail.  Each point is computed on plain
     floats by the operations that evaluating it alone performs, so each
     row is bit for bit that evaluation's, and is checked by the same
     functions that the value types call.  The sweep stops at its first
     failing point with the error that evaluating it alone raises: the
     loop checks each point it gets, and a source raises in place of a
-    point it cannot give (a cap or category-total breach, or the frame's).
-
-    A weight sweep's reweighted weights and scales do not depend on the
-    assessment, so the process keeps one frame of them per swept
-    category: the last one built, keyed on the exact unswept weights,
-    the signs and the grid.  That holds at most three frames of
-    ``MAX_SWEEP_POINTS`` points, and alternating weight profiles or
-    grids within one category rebuild the frame on every sweep; there is
-    no setting.
+    point it cannot give (a cap or category-total breach, or a weight
+    sweep's failing reweight or scale).  Neither source keeps anything
+    between sweeps.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
@@ -460,13 +409,39 @@ def run_whatif(
 def _weight_points(
     weights: WeightVector, spec: SensitivitySpec, signs: ScalarConfig, masses: list
 ) -> Iterator[tuple]:
-    """A weight sweep's points from its frame, then the frame's error."""
-    grid, error = _weight_frame(weights, spec.target_category(), signs, spec)
-    floats = iter(grid)
-    # zip reads its arguments in turn: the value, the masses, the frame's other seven
-    yield from zip(floats, *map(repeat, masses), *[floats] * 7)
-    if error is not None:
-        raise ValidationError(error)
+    """A weight sweep's points, each reweighted and scaled on plain floats
+    by ``reweight``'s and then ``compute_bounds``' operations, in their
+    order; a point that fails a check is left to those two functions,
+    which raise its error."""
+    category = spec.target_category()
+    index = CATEGORIES.index(category)
+    mh, mn, mf = masses
+    # float signs give the int signs' bits, multiplied faster
+    sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
+    o0, o1 = [weights[c] for c in CATEGORIES if c is not category]
+    other_sum = o0 + o1
+    for value in spec.values():
+        # with both others zero, NaN leaves every point to reweight
+        scale = (1.0 - value) / other_sum if other_sum > 0.0 else math.nan
+        a, b = o0 * scale, o1 * scale
+        wh, wn, wf = (value, a, b) if index == 0 else (a, value, b) if index == 1 else (a, b, value)
+        signed = (sh * wh, sn * wn, sf * wf)
+        lower = upper = 0.0
+        for v in signed:
+            if v < 0.0:
+                lower += v
+            elif v > 0.0:
+                upper += v
+        band_low, band_high = lower + wh, upper - signed[2]
+        # the checks that can fail here: a weight above 1 or NaN (a, b >= 0, and
+        # reweighted weights sum to 1 within a few ulps, as does the scale's
+        # width), and the band's top two edges (band_low >= lower, as wh >= 0)
+        if not (a <= 1.0 and b <= 1.0 and band_low <= band_high + TOLERANCE
+                and band_high <= upper + TOLERANCE):
+            w = reweight(weights, category, value)
+            wh, wn, wf = vars(w).values()
+            lower, upper, band_low, band_high = vars(compute_bounds(w, signs)).values()
+        yield value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high
 
 
 def _property_points(

@@ -231,6 +231,10 @@ class TestBandTable:
         with pytest.raises(tr.ValidationError, match="no bands"):
             tr.BandTable([]).validate_against(tr.compute_bounds(generic_weights))
 
+    def test_empty_table_classifies_no_score(self):
+        with pytest.raises(tr.ValidationError, match="^band table has no bands$"):
+            tr.classify_extended(0.1, tr.BandTable(()))
+
     @pytest.mark.parametrize("bands, message", [
         ([("h", -0.3, 0.0, RC.HOSTILE), ("n", 0.0, 0.2, RC.NEUTRAL), ("f", 0.2, 0.6, RC.FRIENDLY)],
          "first band starts at -0.3, scale starts at -0.4"),

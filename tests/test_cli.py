@@ -1,11 +1,15 @@
 """CLI surface tests: subcommands, exit statuses, output formats."""
 
+import copy
 import csv
+import datetime as dt
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -666,7 +670,7 @@ def test_every_call_exits_zero_one_or_two(call):
 # --- state independence ---------------------------------------------------------
 
 #: name -> argv of calls that read or leave state a later call could see:
-#: masses kept on an assessment, weight-sweep frames, the shipped catalog
+#: masses kept on an assessment, the shipped catalog
 ALONE_CALLS = {
     "evaluate_text": EVALUATE + ["--weights", "0.4,0.2,0.4"],
     "evaluate_json": EVALUATE + ["--weights", "0.4,0.2,0.4", "--format", "json"],
@@ -709,3 +713,38 @@ def test_calls_in_one_process_print_what_each_prints_alone(order, alone):
         with redirect_stdout(out), redirect_stderr(err):
             status = main(ALONE_CALLS[name])
         assert (status, out.getvalue(), err.getvalue()) == alone[name], name
+
+
+def _module_containers():
+    """A copy of every module-level list, dict, set and bytearray of trustrel."""
+    for info in pkgutil.iter_modules(tr.__path__):
+        importlib.import_module(f"trustrel.{info.name}")
+    return {
+        (module, name): copy.deepcopy(value)
+        for module in sorted(sys.modules) if module.partition(".")[0] == "trustrel"
+        for name, value in vars(sys.modules[module]).items()
+        if isinstance(value, (list, dict, set, bytearray)) and name != "__builtins__"
+    }
+
+
+def test_library_calls_keep_no_process_wide_state(tmp_path):
+    before = _module_containers()
+    catalog = tr.load_catalog(CATALOG)
+    assessment = tr.load_assessment(USA)
+    # profiles no other test sweeps under, so that a cache keyed on them would change
+    profiles = tr.WeightVector(0.35, 0.3, 0.35), tr.WeightVector(0.3, 0.15, 0.55)
+    tr.build_report(catalog, assessment, profiles[0])
+    for weights in profiles:
+        tr.run_whatif(catalog, assessment, weights,
+                      tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 0.1))
+        tr.run_whatif(catalog, assessment, weights,
+                      tr.SensitivitySpec("property", "f.P1", 0.0, 0.5, 0.05))
+    store = tr.RelationStore()
+    store.register_nation(tr.Nation("USA", "United States of America"))
+    store.register_nation(tr.Nation("GBR", "Great Britain"))
+    store.evaluate_relation("USA", "GBR", assessment, catalog, profiles[1])
+    store.save(tmp_path / "store.json")
+    loaded = tr.RelationStore.load(tmp_path / "store.json")
+    window = tr.DateWindow(dt.date(2001, 1, 1), dt.date(2005, 12, 31))
+    assert loaded.relation_matrix(["USA", "GBR"], window)[0] == ["friendly", "friendly"]
+    assert _module_containers() == before

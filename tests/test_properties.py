@@ -19,7 +19,6 @@ import trustrel.catalog
 from trustrel import RelationCategory as RC
 from trustrel.algebra import TOLERANCE
 from trustrel.catalog import CAP_MODES
-from trustrel.report import _WEIGHT_FRAMES
 
 from sweep_reference import replace_entry_value
 
@@ -355,7 +354,7 @@ def test_weight_whatif_fails_with_the_point_alone_error(weights, signs, message)
     assert _outcome(lambda: tr.run_whatif(*args)) == (tr.ValidationError, message)
 
 
-# --- weight sweeps against the process's frame per swept category ---------
+# --- weight sweeps repeated and interleaved in one process ---------------
 
 def _rendered(fn):
     """A sweep's rows and its three renderings, or its error."""
@@ -401,7 +400,7 @@ _ALL_ZERO = [("h.P1", 0.0), ("n.P1", 0.0)]
     tr.WeightVector(0.5, 0.5, 0.0), tr.ScalarConfig(-1, -1, -1), "free", False,
 )
 @settings(max_examples=200, deadline=None)
-def test_weight_sweep_is_the_same_cold_warm_evicted_and_per_signed_zero(
+def test_weight_sweep_is_the_same_over_repeated_and_interleaved_calls(
     case, weights, signs, mode, ascending
 ):
     assessment, category, _, (start, stop, step) = case
@@ -412,27 +411,25 @@ def test_weight_sweep_is_the_same_cold_warm_evicted_and_per_signed_zero(
     def run(w, grid=spec):
         return _rendered(lambda: tr.run_whatif(CATALOG, assessment, w, grid, signs, mode))
 
-    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
-    cold = run(weights)
-    assert cold == _rendered(
+    first = run(weights)
+    assert first == _rendered(
         lambda: _reference_whatif(CATALOG, assessment, weights, spec, signs, mode))
-    assert run(weights) == cold
-    # every zero weight left unswept turned to -0.0: its own frame
+    assert run(weights) == first
+    # every zero weight left unswept turned to -0.0, which a row can print
     signed_zero = tr.WeightVector(*(
         -0.0 if c is not category and weights[c] == 0.0 else weights[c] for c in tr.CATEGORIES
     ))
-    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
-    cold_signed_zero = run(signed_zero)
-    assert run(weights) == cold
-    assert run(signed_zero) == cold_signed_zero
-    # other profiles, then another grid, each evicting the category's frame
+    first_signed_zero = run(signed_zero)
+    assert run(weights) == first
+    assert run(signed_zero) == first_signed_zero
+    # other profiles, then another grid, between calls with the same arguments
     for w in tr.WeightVector.uniform(), tr.WeightVector(0.6, 0.15, 0.25):
         run(w)
-        assert run(weights) == cold
+        assert run(weights) == first
     finer = tr.SensitivitySpec("weight", category.value, low, high, step / 2)
     assert run(weights, finer) == _rendered(
         lambda: _reference_whatif(CATALOG, assessment, weights, finer, signs, mode))
-    assert run(weights) == cold
+    assert run(weights) == first
 
 
 def _enum_keyed_bounds(weights, signs):

@@ -11,7 +11,7 @@ import pytest
 import trustrel as tr
 from trustrel import RelationCategory as RC
 from trustrel import report
-from trustrel.report import _WEIGHT_FRAMES, MAX_SWEEP_POINTS, _weight_frame
+from trustrel.report import MAX_SWEEP_POINTS
 
 from document_edits import DELETE, mutated
 from sweep_reference import replace_entry_value
@@ -224,57 +224,21 @@ class TestWhatIf:
         )
 
 
-def _clear_frames():
-    _WEIGHT_FRAMES[:] = [None] * len(_WEIGHT_FRAMES)
-
-
-def _slot_points():
-    """Points each weight-sweep slot holds, a failing point counted as one."""
-    return [
-        len(grid) // 8 + (error is not None)
-        for _, (grid, error) in filter(None, _WEIGHT_FRAMES)
-    ]
-
-
-class TestWeightFrameMemo:
-    def test_keeps_the_last_frame_of_each_swept_category(self, case_weights):
-        _clear_frames()
-        hostile = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.05)
-        neutral = tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 0.05)
-
-        def frame(spec, weights=case_weights):
-            return _weight_frame(weights, spec.target_category(), tr.DEFAULT_SIGNS, spec)
-
-        first = frame(hostile)
-        other = frame(neutral)
-        assert frame(hostile) is first
-        # a new grid replaces only its own category's slot
-        finer = frame(tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.025))
-        assert finer is not first and len(finer[0]) // 8 == 41
-        assert frame(neutral) is other
-        # and so does a new profile
-        shifted = frame(neutral, tr.WeightVector(0.3, 0.3, 0.4))
-        assert shifted is not other
-        assert _WEIGHT_FRAMES[0][1] is finer and _WEIGHT_FRAMES[1][1] is shifted
-        assert _WEIGHT_FRAMES[2] is None
-
-    def test_no_slot_holds_more_than_max_sweep_points(
+class TestLargeAndConcurrentWeightSweeps:
+    def test_a_max_sweep_points_sweep_of_each_category_gives_every_row(
         self, catalog, usa_assessment, case_weights
     ):
-        _clear_frames()
         for category in tr.CATEGORIES:
             full = tr.SensitivitySpec("weight", category.value, 0.0, 1.0, 1e-5)
             rows = tr.run_whatif(catalog, usa_assessment, case_weights, full).rows
             assert len(rows) == MAX_SWEEP_POINTS
-        assert _slot_points() == [MAX_SWEEP_POINTS] * 3
         # a friendly sweep down from 1 under weights (0, 0, 1) fails at its
-        # second point, so its frame holds one point and the failure
+        # second point
         spec = tr.SensitivitySpec("weight", "friendly", 1.0, 0.0, 0.5)
         with pytest.raises(tr.ValidationError, match="cannot renormalize"):
             tr.run_whatif(catalog, usa_assessment, tr.WeightVector(0.0, 0.0, 1.0), spec)
-        assert _slot_points() == [MAX_SWEEP_POINTS, MAX_SWEEP_POINTS, 2]
 
-    def test_threads_sharing_the_memo_get_single_thread_results(self, catalog, usa_assessment):
+    def test_threads_get_single_thread_results(self, catalog, usa_assessment):
         profiles = [(0.4, 0.2, 0.4), (0.45, 0.1, 0.45), (0.0, 0.5, 0.5)]
         grids = [(0.0, 1.0, 0.01), (1.0, 0.0, 0.02)]
         jobs = [
@@ -282,7 +246,7 @@ class TestWeightFrameMemo:
             for w in profiles for c in tr.CATEGORIES for grid in grids
             for signs in (tr.DEFAULT_SIGNS, tr.ScalarConfig(1, -1, 1))
         ]
-        # three 33,334-point frames, so a rebuilt frame can be a large one
+        # three 33,334-point sweeps, so a thread can be switched out mid-sweep
         jobs += [
             (tr.WeightVector(*w), tr.SensitivitySpec("weight", "neutral", 0.0, 1.0, 3e-5),
              tr.DEFAULT_SIGNS)
@@ -296,9 +260,7 @@ class TestWeightFrameMemo:
             except tr.ValidationError as err:
                 return str(err)
 
-        _clear_frames()
         want = [run(job) for job in jobs]
-        _clear_frames()
         got = [None] * 4
 
         def worker(k):
@@ -321,7 +283,6 @@ class TestWeightFrameMemo:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 4
-        assert max(_slot_points()) <= MAX_SWEEP_POINTS
 
 
 class TestBandTableDocuments:
