@@ -261,20 +261,26 @@ def compute_bounds(
     Raises ValidationError when the sign/weight combination is
     degenerate (empty middle band, or a band escaping the scale).
     """
-    signed_friendly = signs.friendly * weights.friendly
-    signed = (signs.hostile * weights.hostile, signs.neutral * weights.neutral, signed_friendly)
+    try:
+        return ScalarBounds(*_edges(weights.hostile, weights.neutral, weights.friendly,
+                                    signs.hostile, signs.neutral, signs.friendly))
+    except ValidationError as err:
+        raise ValidationError(f"degenerate sign/weight combination: {err}") from None
+
+
+def _edges(wh: float, wn: float, wf: float, sh: float, sn: float, sf: float) -> tuple:
+    """The scale's lower and upper bounds and middle band edges for plain
+    weights and signs, unchecked."""
+    signed_friendly = sf * wf
     # left to right from the int 0, so an empty side prints as 0: sum() does
     # the same before Python 3.12, but compensates float sums from 3.12 on
     lower = upper = 0
-    for v in signed:
+    for v in (sh * wh, sn * wn, signed_friendly):
         if v < 0.0:
             lower += v
         elif v > 0.0:
             upper += v
-    try:
-        return ScalarBounds(lower, upper, lower + weights.hostile, upper - signed_friendly)
-    except ValidationError as err:
-        raise ValidationError(f"degenerate sign/weight combination: {err}") from None
+    return lower, upper, lower + wh, upper - signed_friendly
 
 
 def compute_trust_mass(

@@ -293,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes "-,+,+" for an option, so join it to its flag,
-    # spelled out or abbreviated
+    # argparse takes a value led by "-" for an option: join it to its flag
     for i in reversed(range(len(argv) - 1)):
-        if len(argv[i]) > 2 and "--signs".startswith(argv[i]):
+        if len(argv[i]) > 2 and argv[i + 1][:2] != "--" and any(
+                f.startswith(argv[i]) for f in ("--signs", "--weights", "--sweep")):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)

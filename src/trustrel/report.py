@@ -30,6 +30,7 @@ from .algebra import (
     WeightVector,
     _check_strength,
     _classify,
+    _edges,
     _Fields,
     _frozen,
     compute_bounds,
@@ -329,21 +330,25 @@ def reweight(
     the remainder.
     """
     index = CATEGORIES.index(category)
-    others = [weights.hostile, weights.neutral, weights.friendly]
-    del others[index]
-    other_sum = others[0] + others[1]
+    o0, o1 = [weights[c] for c in CATEGORIES if c is not category]
+    return WeightVector(*_reweighted(o0, o1, index, value))
+
+
+def _reweighted(o0: float, o1: float, index: int, value: float) -> tuple:
+    """``value`` at category ``index`` and the other two weights ``o0`` and
+    ``o1`` rescaled to fill the rest, in category order, unchecked."""
+    other_sum = o0 + o1
     remainder = 1.0 - value
     if other_sum <= 0.0:
         if abs(remainder) > TOLERANCE:
             raise ValidationError(
-                f"cannot renormalize: weights other than {category} are both zero"
+                f"cannot renormalize: weights other than {CATEGORIES[index]} are both zero"
             )
-        scaled = [0.0, 0.0]
+        a = b = 0.0
     else:
         scale = remainder / other_sum
-        scaled = [others[0] * scale, others[1] * scale]
-    scaled.insert(index, value)
-    return WeightVector(*scaled)
+        a, b = o0 * scale, o1 * scale
+    return (value, a, b) if index == 0 else (a, value, b) if index == 1 else (a, b, value)
 
 
 def run_whatif(
@@ -359,18 +364,18 @@ def run_whatif(
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
     reported as the flip point.  One loop evaluates the points of either
-    source, each 11 floats (value, masses, weights, the scale's four
-    edges): the grid value reweighted with the other two weights and
-    scaled, or the swept property's value added to its category's prefix
-    and tail.  Each point is computed on plain
-    floats by the operations that evaluating it alone performs, so each
-    row is bit for bit that evaluation's, and is checked by the same
-    functions that the value types call.  The sweep stops at its first
-    failing point with the error that evaluating it alone raises: the
-    loop checks each point it gets, and a source raises in place of a
-    point it cannot give (a cap or category-total breach, or a weight
-    sweep's failing reweight or scale).  Neither source keeps anything
-    between sweeps.
+    source, each 11 numbers (value, masses, weights, the scale's four
+    edges, of which an empty side is ``compute_bounds``' int 0): the grid
+    value reweighted with the other two weights and scaled, or the swept
+    property's value added to its category's prefix and tail.  Each point
+    is computed on plain floats by the operations that evaluating it
+    alone performs, so each row is bit for bit that evaluation's, and is
+    checked by the same functions that the value types call.  The sweep
+    stops at its first failing point with the error that evaluating it
+    alone raises: the loop checks each point it gets, and a source raises
+    in place of a point it cannot give (a cap or category-total breach,
+    or a weight sweep's failing reweight or scale).  Neither source keeps
+    anything between sweeps.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
@@ -388,9 +393,7 @@ def run_whatif(
         # compute_trust_mass, compute_strength, classify, TrustEvaluation
         trust_mass = mh * sh * wh + mn * sn * wn + mf * sf * wf
         strength = mh * wh + mn * wn + mf * wf
-        # a side of the scale with no weight is the int 0 (as a float it is
-        # never 0.0), which the off-scale message prints as "0"
-        label = _classify(trust_mass, lower or 0, upper or 0, band_low, band_high)
+        label = _classify(trust_mass, lower, upper, band_low, band_high)
         _check_strength(strength)
         flipped = label is not base_label
         if flipped and first_flip is None:
@@ -410,37 +413,24 @@ def _weight_points(
     weights: WeightVector, spec: SensitivitySpec, signs: ScalarConfig, masses: list
 ) -> Iterator[tuple]:
     """A weight sweep's points, each reweighted and scaled on plain floats
-    by ``reweight``'s and then ``compute_bounds``' operations, in their
-    order; a point that fails a check is left to those two functions,
-    which raise its error."""
+    by ``_reweighted`` and ``_edges``, the code of ``reweight`` and
+    ``compute_bounds``; a point that fails a check is left to those two
+    functions, which raise its error."""
     category = spec.target_category()
     index = CATEGORIES.index(category)
     mh, mn, mf = masses
     # float signs give the int signs' bits, multiplied faster
     sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
     o0, o1 = [weights[c] for c in CATEGORIES if c is not category]
-    other_sum = o0 + o1
     for value in spec.values():
-        # with both others zero, NaN leaves every point to reweight
-        scale = (1.0 - value) / other_sum if other_sum > 0.0 else math.nan
-        a, b = o0 * scale, o1 * scale
-        wh, wn, wf = (value, a, b) if index == 0 else (a, value, b) if index == 1 else (a, b, value)
-        signed = (sh * wh, sn * wn, sf * wf)
-        lower = upper = 0.0
-        for v in signed:
-            if v < 0.0:
-                lower += v
-            elif v > 0.0:
-                upper += v
-        band_low, band_high = lower + wh, upper - signed[2]
-        # the checks that can fail here: a weight above 1 or NaN (a, b >= 0, and
-        # reweighted weights sum to 1 within a few ulps, as does the scale's
-        # width), and the band's top two edges (band_low >= lower, as wh >= 0)
-        if not (a <= 1.0 and b <= 1.0 and band_low <= band_high + TOLERANCE
+        wh, wn, wf = _reweighted(o0, o1, index, value)
+        lower, upper, band_low, band_high = _edges(wh, wn, wf, sh, sn, sf)
+        # the value types' other checks hold for every reweighted point:
+        # weights >= 0 summing to 1 within a few ulps, as does the scale's
+        # width, and band_low >= lower, as wh >= 0
+        if not (wh <= 1.0 and wn <= 1.0 and wf <= 1.0 and band_low <= band_high + TOLERANCE
                 and band_high <= upper + TOLERANCE):
-            w = reweight(weights, category, value)
-            wh, wn, wf = vars(w).values()
-            lower, upper, band_low, band_high = vars(compute_bounds(w, signs)).values()
+            compute_bounds(reweight(weights, category, value), signs)
         yield value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high
 
 

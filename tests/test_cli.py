@@ -493,6 +493,13 @@ class TestCatalogShow:
         assert tr.catalog_from_dict(decoded) == catalog
 
 
+#: value -> exit status and stderr of a value led by "-" that is refused
+MINUS_ERRORS = {
+    "-0.1,0.6,0.5": (1, b"error: weights: hostile weight must lie in [0, 1], got -0.1\n"),
+    "-0.1:1:0.1": (1, b"error: sweep: sweep endpoints must lie in [0, 1], got -0.1\n"),
+}
+
+
 class TestDeterminism:
     def test_json_output_is_byte_identical(self, capsys):
         argv = ["evaluate", "--catalog", CATALOG, "--assessment", USA,
@@ -515,17 +522,40 @@ class TestDeterminism:
         assert first.encode() == second.encode()
 
     @pytest.mark.parametrize("command", [
-        ["evaluate", "--format", "json"],
-        ["whatif", "--target", "property:n.P3", "--sweep", "0.4:0:0.04"],
+        ["evaluate", "--format", "json", "--signs", "-,-,+"],
+        ["whatif", "--target", "property:n.P3", "--sweep", "0.4:0:0.04", "--signs", "-,-,+"],
+        ["evaluate", "--format", "json", "--weights", "-0.0,0.5,0.5"],
+        ["evaluate", "--weights", "-0.1,0.6,0.5"],
+        ["whatif", "--target", "weight:hostile", "--sweep", "-0.0:1:0.25"],
+        ["whatif", "--target", "weight:hostile", "--sweep", "-0.1:1:0.1"],
     ])
     def test_signs_led_by_minus_read_alike_in_both_spellings(self, command, capsys):
-        argv = command[:1] + ["--catalog", CATALOG, "--assessment", USA,
-                              "--weights", "0.30,0.30,0.40"] + command[1:]
-        outputs = []
-        for signs in (["--signs", "-,-,+"], ["--signs=-,-,+"], ["--sig", "-,-,+"]):
-            assert main(argv + signs) == 0
-            outputs.append(capsys.readouterr().out.encode())
-        assert outputs[0] == outputs[1] == outputs[2]
+        # the last two items are a flag and its value led by "-", which main
+        # joins to --signs (also abbreviated), --weights and --sweep
+        *command, flag, value = command
+        argv = command[:1] + ["--catalog", CATALOG, "--assessment", USA] + command[1:]
+        if flag != "--weights":
+            argv += ["--weights", "0.30,0.30,0.40"]
+        spellings = [[flag, value], [f"{flag}={value}"]]
+        if flag == "--signs":
+            spellings.append(["--sig", value])
+        outcomes = []
+        for spelling in spellings:
+            status = main(argv + spelling)
+            out, err = capsys.readouterr()
+            outcomes.append((status, out.encode(), err.encode()))
+        assert outcomes == [outcomes[0]] * len(spellings)
+        status, _, err = outcomes[0]
+        assert (status, err) == MINUS_ERRORS.get(value, (0, b""))
+
+    @pytest.mark.parametrize("flag", ["--signs", "--weights", "--sweep"])
+    def test_a_flag_followed_by_an_option_has_no_value(self, flag, capsys):
+        argv = ["whatif", "--catalog", CATALOG, "--assessment", USA, "--target", "weight:hostile",
+                "--sweep", "0:1:0.5", "--weights", "0.4,0.2,0.4", flag, "--cap-mode=free"]
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
 
 # --- every call exits 0, 1 or 2 ----------------------------------------------
@@ -603,7 +633,8 @@ def cli_calls(draw):
     """An argv for ``main``, with ``{name}`` for the path of each document
     in the dict returned with it.  Every option value is joined to its
     flag by "=", as argparse takes a separate value led by "-" for an
-    option; only --signs is also written apart, as ``main`` joins it."""
+    option; only --signs, --weights and --sweep are also written apart,
+    as ``main`` joins them."""
     docs = {}
 
     def doc(kind):
@@ -612,7 +643,11 @@ def cli_calls(draw):
 
     def opt(name, values, required=False):
         value = draw(values if isinstance(values, st.SearchStrategy) else st.sampled_from(values))
-        return [f"--{name}={value}"] if required or draw(st.booleans()) else []
+        if not (required or draw(st.booleans())):
+            return []
+        if name in ("signs", "weights", "sweep") and draw(st.booleans()):
+            return [f"--{name}", value]
+        return [f"--{name}={value}"]
 
     command = draw(st.sampled_from(["evaluate", "whatif", "validate", "matrix"]))
     argv = [command]
@@ -630,8 +665,7 @@ def cli_calls(draw):
         _joined(NUMBERS, ",")))
     for category in ("hostile", "neutral", "friendly"):
         argv += opt(f"weight-{category}", NUMBERS)
-    signs = draw(_joined(["-", "+", "0", ""], ","))
-    argv += draw(st.sampled_from([[], ["--signs", signs], [f"--signs={signs}"]]))
+    argv += opt("signs", _joined(["-", "+", "0", ""], ","))
     argv += opt("cap-mode", ["strict", "free", "lax"]) + opt("format", ["text", "json", "csv", "xml"])
     if command == "evaluate":
         if draw(st.booleans()):

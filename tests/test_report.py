@@ -223,6 +223,30 @@ class TestWhatIf:
             "value 0.30000000000000004 for 'n.P1' exceeds its cap 0.25 (strict mode)"
         )
 
+    def test_weight_sweep_builds_value_objects_only_for_a_failing_point(
+        self, catalog, usa_assessment, monkeypatch
+    ):
+        calls = {"reweight": 0, "compute_bounds": 0}
+
+        def counted(name, real):
+            def stand_in(*args):
+                calls[name] += 1
+                return real(*args)
+            return stand_in
+
+        for name in calls:
+            monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
+        spec = tr.SensitivitySpec("weight", "hostile", 0.0, 1.0, 0.01)
+        rows = tr.run_whatif(catalog, usa_assessment, tr.WeightVector(0.4, 0.2, 0.4), spec).rows
+        assert len(rows) == 101
+        assert calls == {"reweight": 0, "compute_bounds": 0}
+        # under a negative friendly sign the scale turns degenerate at 0.1
+        spec = tr.SensitivitySpec("weight", "friendly", 0.0, 0.3, 0.1)
+        with pytest.raises(tr.ValidationError, match="degenerate sign/weight combination"):
+            tr.run_whatif(catalog, usa_assessment, tr.WeightVector(0.5, 0.5, 0.0), spec,
+                          tr.ScalarConfig(-1, 1, -1))
+        assert calls == {"reweight": 1, "compute_bounds": 1}
+
 
 class TestLargeAndConcurrentWeightSweeps:
     def test_a_max_sweep_points_sweep_of_each_category_gives_every_row(
