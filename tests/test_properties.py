@@ -13,6 +13,7 @@ import threading
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import trustrel as tr
 import trustrel.catalog
@@ -942,3 +943,101 @@ def test_pair_index_answers_like_the_flat_scan(case):
         want = _outcome(lambda: flat.relation_matrix(matrix_ids, window))
         assert _outcome(lambda: store.relation_matrix(matrix_ids, window)) == want
         assert _outcome(lambda: loaded.relation_matrix(matrix_ids, window)) == want
+
+
+# --- the store as a state machine, step by step against a flat model ---------
+
+class _FlatModel(_FlatStore):
+    """``_FlatStore`` with the store's writes: a registry that rejects a
+    duplicate id, and ``evaluate_relation`` through the reference scan."""
+
+    def register_nation(self, nation):
+        if nation.id in self._nations:
+            raise tr.ValidationError(f"nation {nation.id!r} is already registered")
+        self._nations[nation.id] = nation
+        return nation
+
+    def evaluate_relation(self, subject, object, assessment, catalog, weights):
+        self.nation(subject)
+        self.nation(object)
+        if subject == object:
+            raise tr.ValidationError(
+                f"self-relation {subject!r} is fixed friendly and cannot be evaluated")
+        evaluation = _reference_evaluate_relation(assessment, catalog, "strict", weights)
+        record = tr.RelationRecord(subject, object, assessment.window, evaluation, weights,
+                                   tr.DEFAULT_SIGNS, f"{assessment.ref} (catalog {catalog.version})")
+        self.put(record)
+        return record
+
+    @property
+    def nations(self):
+        return tuple(sorted(self._nations.values(), key=lambda n: n.id))
+
+    @property
+    def records(self):
+        return tuple(self._records[key] for key in sorted(self._records))
+
+
+MODEL_IDS = ["AAA", "BBB", "CCC", "DDD"]  # "ZZZ" is never registered
+# nested, overlapping and one-day windows over INDEX_DATES
+MODEL_WINDOWS = [tr.DateWindow(INDEX_DATES[a], INDEX_DATES[b])
+                 for a, b in [(0, 4), (0, 2), (1, 3), (2, 2)]]
+MODEL_WEIGHTS = [tr.WeightVector(0.4, 0.2, 0.4), tr.WeightVector(0.45, 0.1, 0.45),
+                 tr.WeightVector(0.0, 0.5, 0.5), tr.WeightVector(1.0, 0.0, 0.0)]
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Every step runs on the store and on ``_FlatModel`` and must return
+    the same value or raise the same error; a round trip carries on with
+    the loaded store."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = tr.RelationStore()
+        self.model = _FlatModel(())
+
+    def same(self, step):
+        assert _outcome(lambda: step(self.store)) == _outcome(lambda: step(self.model))
+
+    @initialize(ids=st.lists(st.sampled_from(MODEL_IDS), min_size=2, unique=True))
+    def register_some(self, ids):
+        for nation_id in ids:
+            self.same(lambda s: s.register_nation(tr.Nation(nation_id)))
+
+    @rule(nation_id=st.sampled_from(MODEL_IDS), name=st.sampled_from(["", "a"]))
+    def register(self, nation_id, name):
+        self.same(lambda s: s.register_nation(tr.Nation(nation_id, name)))
+
+    @rule(subject=st.sampled_from(MODEL_IDS), object=st.sampled_from(MODEL_IDS),
+          window=st.sampled_from(MODEL_WINDOWS), weights=st.sampled_from(MODEL_WEIGHTS),
+          pid=st.sampled_from(PROPERTY_IDS), share=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def evaluate(self, subject, object, window, weights, pid, share):
+        value = min(1.0, share * CATALOG.by_id[pid].cap)  # a share above 1 breaks the cap
+        assessment = tr.Assessment(subject, object, window, (tr.AssessmentEntry(pid, value),))
+        self.same(lambda s: s.evaluate_relation(subject, object, assessment, CATALOG, weights))
+
+    @rule(subject=st.sampled_from(MODEL_IDS + ["ZZZ"]), object=st.sampled_from(MODEL_IDS),
+          window=st.sampled_from(INDEX_WINDOWS))
+    def query(self, subject, object, window):
+        self.same(lambda s: s.query_relation(subject, object, window))
+
+    @rule(ids=st.lists(st.sampled_from(MODEL_IDS + ["ZZZ"]), max_size=5),
+          window=st.sampled_from(INDEX_WINDOWS))
+    def matrix(self, ids, window):
+        self.same(lambda s: s.relation_matrix(ids, window))
+
+    @invariant()
+    def records(self):
+        assert self.store.records == self.model.records
+        assert self.store.nations == self.model.nations
+
+    @rule()
+    def round_trip(self):
+        loaded = tr.RelationStore.from_dict(json.loads(json.dumps(self.store.to_dict())))
+        assert loaded == self.store
+        self.store = loaded
+
+
+StoreMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=100, stateful_step_count=50, deadline=None)
+TestStoreMachine = StoreMachine.TestCase

@@ -7,6 +7,7 @@ import errno
 import json
 import os
 import stat
+import sys
 import threading
 
 import pytest
@@ -304,6 +305,51 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert errors == []
+
+    def test_readers_stay_consistent_while_the_index_grows(self, catalog):
+        """A writer adds nations and pairs, so both maps grow and resize,
+        while readers read the whole store."""
+        store = tr.RelationStore()
+        store.register_nation(tr.Nation("N00"))
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            seen = ["N00"]
+            while not stop.is_set():
+                try:
+                    matrix = store.relation_matrix(seen, WINDOW)
+                    assert [len(row) for row in matrix] == [len(seen)] * len(seen)
+                    assert all(matrix[i][i] == "friendly" for i in range(len(seen)))
+                    store.records
+                    tr.RelationStore.from_dict(store.to_dict())
+                    store == store
+                    store.query_relation(seen[-1], seen[0], WINDOW)
+                    seen = [nation.id for nation in store.nations]
+                except Exception as exc:  # surfaced after join
+                    errors.append(exc)
+                    return
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for k in range(1, 40):
+                new, last = f"N{k:02}", f"N{k - 1:02}"
+                store.register_nation(tr.Nation(new))
+                for subject, obj in [(new, last), (last, new), (new, "N00")]:
+                    if subject != obj:
+                        store.evaluate_relation(
+                            subject, obj, empty_assessment(subject, obj), catalog, CASE_WEIGHTS)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(store.nations) == 40 and len(store.records) == 116
 
 
 
