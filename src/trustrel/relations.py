@@ -8,7 +8,8 @@ was never evaluated is explicitly *undefined*, which is distinct from
 an evaluated pair with zero evidence (that one is neutral).
 
 The store accepts a single writer and any number of concurrent
-readers: every mutation swaps in a fresh mapping under a lock, so a
+readers: a write replaces one map entry under a lock, a stored window
+map never changes, and a read of more than one entry reads a copy, so a
 reader always sees a consistent snapshot.
 """
 
@@ -106,9 +107,7 @@ class RelationStore:
         with self._lock:
             if nation.id in self._nations:
                 raise ValidationError(f"nation {nation.id!r} is already registered")
-            nations = dict(self._nations)
-            nations[nation.id] = nation
-            self._nations = nations
+            self._nations[nation.id] = nation
         return nation
 
     def nation(self, nation_id: str) -> Nation:
@@ -119,13 +118,13 @@ class RelationStore:
 
     @property
     def nations(self) -> tuple[Nation, ...]:
-        return tuple(sorted(self._nations.values(), key=lambda n: n.id))
+        return tuple(sorted(dict(self._nations).values(), key=lambda n: n.id))
 
     @property
     def records(self) -> tuple[RelationRecord, ...]:
         return tuple(
             windows[window]
-            for _, windows in sorted(self._records.items())
+            for _, windows in sorted(dict(self._records).items())
             for window in sorted(windows, key=lambda w: (w.start, w.end))
         )
 
@@ -167,9 +166,7 @@ class RelationStore:
         )
         pair = (subject, object)
         with self._lock:
-            records = dict(self._records)
-            records[pair] = {**records.get(pair, {}), assessment.window: record}
-            self._records = records
+            self._records[pair] = {**self._records.get(pair, {}), assessment.window: record}
         return record
 
     def _check_pair(self, subject: str, object: str) -> None:
@@ -214,8 +211,10 @@ class RelationStore:
         performed; unevaluated cells stay "undefined".  Every cell is
         read from one snapshot of the store.
         """
-        # a shallow copy shares the published maps, which no write changes in place
+        # copies of both maps, taken together; they share the window maps
         snapshot = copy.copy(self)
+        with self._lock:
+            snapshot._nations, snapshot._records = dict(self._nations), dict(self._records)
         return [
             [snapshot.query_relation(row, col, window).label for col in nation_ids]
             for row in nation_ids
@@ -283,7 +282,8 @@ class RelationStore:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationStore):
             return NotImplemented
-        return self._nations == other._nations and self._records == other._records
+        return (dict(self._nations) == dict(other._nations)
+                and dict(self._records) == dict(other._records))
 
 
 def _record_to_dict(record: RelationRecord) -> dict:

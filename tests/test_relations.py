@@ -351,6 +351,16 @@ class TestConcurrency:
         assert errors == []
         assert len(store.nations) == 40 and len(store.records) == 116
 
+    def test_a_write_replaces_only_its_own_entry(self, store, catalog):
+        store.evaluate_relation("USA", "GBR", empty_assessment("USA", "GBR"), catalog, CASE_WEIGHTS)
+        nations, records = store._nations, store._records
+        usa_gbr = records[("USA", "GBR")]
+        store.register_nation(tr.Nation("DEU"))
+        store.evaluate_relation("GBR", "FRA", empty_assessment("GBR", "FRA"), catalog, CASE_WEIGHTS)
+        assert store._nations is nations and "DEU" in nations
+        assert store._records is records and ("GBR", "FRA") in records
+        assert records[("USA", "GBR")] is usa_gbr
+
 
 
 class TestOneStoreState:
