@@ -15,7 +15,6 @@ reader always sees a consistent snapshot.
 
 from __future__ import annotations
 
-import copy
 import threading
 from pathlib import Path
 
@@ -211,8 +210,8 @@ class RelationStore:
         performed; unevaluated cells stay "undefined".  Every cell is
         read from one snapshot of the store.
         """
-        # copies of both maps, taken together; they share the window maps
-        snapshot = copy.copy(self)
+        # copies of both maps, taken together; window maps are shared, as no write changes one
+        snapshot = RelationStore()
         with self._lock:
             snapshot._nations, snapshot._records = dict(self._nations), dict(self._records)
         return [

@@ -346,8 +346,9 @@ class TestConcurrency:
         finally:
             stop.set()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(store.nations) == 40 and len(store.records) == 116
 
