@@ -579,6 +579,8 @@ STORE_DEFECTS = {
     "float sign": ("store.records[0].signs.hostile",
                    _set("records", 0, "signs", "hostile", value=-1.0)),
     "non-string nation id": ("store.nations[0].id", _set("nations", 0, "id", value=7)),
+    "empty nation id": ("store.nations[1]: nation id must be non-empty",
+                        _set("nations", 1, "id", value="")),
     "non-string record id": ("store.records[1].subject", _set("records", 1, "subject", value=7)),
     "non-bool un_member": ("store.nations[2].un_member",
                            _set("nations", 2, "un_member", value=1)),
