@@ -37,6 +37,7 @@ from .catalog import (
     DateWindow,
     PropertyCatalog,
     _field,
+    _items,
     _load_json,
     _save_json,
     _valid_masses,
@@ -253,23 +254,19 @@ class RelationStore:
         if not isinstance(doc, dict):
             raise SchemaError("store: expected an object")
         store = cls()
-        for i, raw in enumerate(_field(doc, "nations", list, "store")):
-            try:
-                store.register_nation(_nation_from_dict(raw))
-            except (SchemaError, ValidationError) as err:
-                raise _located(f"store.nations[{i}]", err) from None
-        for i, raw in enumerate(_field(doc, "records", list, "store")):
-            try:
-                record = _record_from_dict(raw)
-                store._check_pair(record.subject, record.object)
-                windows = store._records.setdefault((record.subject, record.object), {})
-                if record.window in windows:
-                    raise ValidationError(f"duplicate record for {record.subject}->"
-                                          f"{record.object}@{record.window}")
-                windows[record.window] = record
-            except (SchemaError, ValidationError) as err:
-                raise _located(f"store.records[{i}]", err) from None
+        _items(_field(doc, "nations", list, "store"),
+               _loading(_nation_from_dict, store.register_nation), "store.nations")
+        _items(_field(doc, "records", list, "store"),
+               _loading(_record_from_dict, store._insert), "store.records")
         return store
+
+    def _insert(self, record: RelationRecord) -> None:
+        """Add a record ``from_dict`` read, to the store it is building."""
+        self._check_pair(record.subject, record.object)
+        windows = self._records.setdefault((record.subject, record.object), {})
+        if record.window in windows:
+            raise ValidationError(f"duplicate record for {record.subject}->{record.object}@{record.window}")
+        windows[record.window] = record
 
     def save(self, path: str | Path) -> None:
         _save_json(self.to_dict(), path)
@@ -305,18 +302,20 @@ def _record_to_dict(record: RelationRecord) -> dict:
     }
 
 
-def _located(where: str, err: SchemaError | ValidationError) -> SchemaError:
-    """``err``, raised reading the store item at ``where``, as a SchemaError
-    naming it; a SchemaError's own location is relative to the item."""
-    if isinstance(err, SchemaError):
-        return SchemaError(f"{where}{err}")
-    return SchemaError(f"{where}: {err}")
+def _loading(read, add):
+    """``add(read(item))`` for an item of a store document; a ValidationError
+    there (a value type's check, a duplicate nation, an unregistered or self
+    pair, a duplicate record) is a SchemaError relative to the item."""
+    def load(doc: dict):
+        try:
+            return add(read(doc))
+        except ValidationError as err:
+            raise SchemaError(f": {err}") from None
+    return load
 
 
 def _nation_from_dict(doc: dict) -> Nation:
     """One nation of a store document; errors are relative to it."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     return Nation(_field(doc, "id", str, ""), _field(doc, "name", str, "", ""),
                   _field(doc, "un_member", bool, "", True))
 
@@ -331,14 +330,13 @@ def _record_from_dict(doc: dict) -> RelationRecord:
     mass.  Band tables are not stored, so ``band_label`` is only
     type-checked.  Errors are relative to the record, for the caller,
     which knows its index, to locate."""
-    if not isinstance(doc, dict):
-        raise SchemaError(": expected an object")
     weights = WeightVector(**_fields(doc, "weights", _CATEGORY_NAMES, float))
     signs = ScalarConfig(**_fields(doc, "signs", _CATEGORY_NAMES, int))
     raw_eval = _field(doc, "evaluation", dict, "")
     bounds = compute_bounds(weights, signs)
-    stored = _fields(raw_eval, "bounds", bounds.as_dict(), float, ".evaluation")
-    if stored != bounds.as_dict():
+    derived = bounds.as_dict()
+    stored = _fields(raw_eval, "bounds", derived, float, ".evaluation")
+    if stored != derived:
         raise SchemaError(f".evaluation.bounds: {stored} are not the bounds of the weights and signs")
     trust_mass = _field(raw_eval, "trust_mass", float, ".evaluation")
     label = classify(trust_mass, bounds)
