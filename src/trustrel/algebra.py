@@ -97,6 +97,19 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({shown})"
 
 
+def _number(value, what: str) -> None:
+    """Refuse ``value``, named ``what``, unless it is an int or a float; as
+    in a document, a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def _string(value, what: str) -> None:
+    """Refuse ``value``, named ``what``, unless it is a str."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+
+
 def _setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -158,13 +171,15 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
+        hostile, neutral, friendly = self.hostile, self.neutral, self.friendly
         # one test for the common case; the walk only names the first failure
-        if not (0.0 <= self.hostile <= 1.0 and 0.0 <= self.neutral <= 1.0
-                and 0.0 <= self.friendly <= 1.0):
+        if not (type(hostile) is type(neutral) is type(friendly) is float
+                and 0.0 <= hostile <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= friendly <= 1.0):
             for name, weight in vars(self).items():
+                _number(weight, f"{name} weight")
                 if not 0.0 <= weight <= 1.0:
                     raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
-        total = self.hostile + self.neutral + self.friendly
+        total = hostile + neutral + friendly
         if abs(total - 1.0) > TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total}")
 
@@ -238,10 +253,12 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
+        hostile, neutral, friendly = self.hostile, self.neutral, self.friendly
         low, high = -TOLERANCE, 1.0 + TOLERANCE
-        if not (low <= self.hostile <= high and low <= self.neutral <= high
-                and low <= self.friendly <= high):
+        if not (type(hostile) is type(neutral) is type(friendly) is float
+                and low <= hostile <= high and low <= neutral <= high and low <= friendly <= high):
             for name, mass in vars(self).items():
+                _number(mass, f"{name} mass")
                 if not low <= mass <= high:
                     raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
 

@@ -24,7 +24,8 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen, _repr
+from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen,
+                      _number, _repr, _string)
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -66,12 +67,16 @@ class PropertyDef:
     description: str = ""
 
     def __post_init__(self) -> None:
+        _string(self.id, "property id")
         if not self.id:
             raise ValidationError("property id must be non-empty")
-        if not 0.0 <= self.cap <= 1.0:
-            raise ValidationError(
-                f"cap of {self.id!r} must lie in [0, 1], got {self.cap}"
-            )
+        # one test for the common case; the rest only names the failure
+        if not (type(self.cap) is float and 0.0 <= self.cap <= 1.0
+                and type(self.description) is str):
+            _number(self.cap, f"cap of {self.id!r}")
+            if not 0.0 <= self.cap <= 1.0:
+                raise ValidationError(f"cap of {self.id!r} must lie in [0, 1], got {self.cap}")
+            _string(self.description, f"description of {self.id!r}")
 
 
 @_frozen
@@ -126,10 +131,13 @@ class AssessmentEntry:
 
     def __post_init__(self) -> None:
         self.__dict__["evidence"] = tuple(self.evidence)
-        if not 0.0 <= self.value <= 1.0:
-            raise ValidationError(
-                f"observed value for {self.property_id!r} must lie in [0, 1], got {self.value}"
-            )
+        pid, value = self.property_id, self.value
+        # one test for the common case; the rest only names the failure
+        if not (type(value) is float and 0.0 <= value <= 1.0 and type(pid) is str):
+            _string(pid, "entry property id")
+            _number(value, f"observed value for {pid!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
 
 
 @_frozen

@@ -28,6 +28,7 @@ from .algebra import (
     TrustEvaluation,
     WeightVector,
     _frozen,
+    _string,
     classify,
     compute_bounds,
     evaluate,
@@ -56,8 +57,12 @@ class Nation:
     un_member: bool = True
 
     def __post_init__(self) -> None:
+        _string(self.id, "nation id")
         if not self.id:
             raise ValidationError("nation id must be non-empty")
+        _string(self.name, "nation name")
+        if type(self.un_member) is not bool:
+            raise ValidationError(f"nation un_member must be a bool, got {self.un_member!r}")
 
 
 @_frozen

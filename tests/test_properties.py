@@ -9,6 +9,7 @@ import pickle
 import sys
 import tempfile
 import threading
+from contextlib import suppress
 
 import hypothesis.strategies as st
 import pytest
@@ -583,6 +584,90 @@ def _sorted_store(doc):
         sorted(doc["records"], key=lambda r: (r["subject"], r["object"],
                                               r["window"]["start"], r["window"]["end"])),
     )
+
+
+# --- value types: what the library writes, it reads back --------------------
+
+#: Arguments of every JSON scalar type.
+anything = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.integers(), st.floats(),
+                     st.text(max_size=3))
+
+
+def _typed_or_anything(typed):
+    """``typed`` half the time, so that many drawn values are built."""
+    return st.booleans().flatmap(lambda pick: typed if pick else anything)
+
+
+a_string = _typed_or_anything(st.text(max_size=3))
+a_flag = _typed_or_anything(st.booleans())
+a_unit = _typed_or_anything(st.one_of(st.sampled_from([0, 1, 0.0, 0.25, 0.5, 1.0]), units))
+
+
+@st.composite
+def weight_arguments(draw):
+    """Three weights, the last of them half the time what makes the three
+    sum to 1, whatever the types of the first two."""
+    hostile, neutral = draw(a_unit), draw(a_unit)
+    if draw(st.booleans()):
+        with suppress(TypeError):
+            return hostile, neutral, 1 - hostile - neutral
+    return hostile, neutral, draw(a_unit)
+
+
+def _reread(doc):
+    """``doc`` as a save writes it and a load reads it back."""
+    return json.loads(trustrel.catalog._dumps(doc))
+
+
+def _nation_documents(nation):
+    store = tr.RelationStore()
+    store.register_nation(nation)
+    return store, tr.RelationStore.from_dict(_reread(store.to_dict()))
+
+
+def _weight_documents(weights):
+    store = tr.RelationStore()
+    for nation_id in ("AAA", "BBB"):
+        store.register_nation(tr.Nation(nation_id))
+    store.evaluate_relation("AAA", "BBB", tr.Assessment("AAA", "BBB", WINDOW), CATALOG, weights)
+    return store, tr.RelationStore.from_dict(_reread(store.to_dict()))
+
+
+def _entry_documents(entry):
+    assessment = tr.Assessment("AAA", "BBB", WINDOW, (entry,))
+    return assessment, tr.assessment_from_dict(_reread(tr.assessment_to_dict(assessment)))
+
+
+def _property_documents(prop):
+    # the drawn property, one that tops its category's caps up to 1, one per other category
+    others = [tr.PropertyDef(f"{c}-all", c, 1.0) for c in tr.CATEGORIES if c is not prop.category]
+    top_up = tr.PropertyDef("top-up", prop.category, 1.0 - prop.cap)
+    catalog = tr.PropertyCatalog("v1", [prop, top_up, *others])
+    return catalog, tr.catalog_from_dict(_reread(tr.catalog_to_dict(catalog)))
+
+
+# type, its drawn arguments (a property's category is always one), the
+# document the value is written in and that document read back
+WRITTEN = [
+    (tr.Nation, st.tuples(a_string, a_string, a_flag), _nation_documents),
+    (tr.WeightVector, weight_arguments(), _weight_documents),
+    (tr.AssessmentEntry, st.tuples(a_string, a_unit), _entry_documents),
+    (tr.PropertyDef, st.tuples(a_string, st.sampled_from(tr.CATEGORIES), a_unit, a_string),
+     _property_documents),
+]
+
+
+@pytest.mark.parametrize("cls, arguments, documents", WRITTEN,
+                         ids=[case[0].__name__ for case in WRITTEN])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_what_the_library_writes_it_reads_back(cls, arguments, documents, data):
+    try:
+        value = cls(*data.draw(arguments))
+    except tr.ValidationError:
+        return
+    written, read = documents(value)
+    assert read == written
 
 
 # --- the one assessment scan against the two it replaced ---------------------

@@ -343,6 +343,12 @@ POST_INIT_ERRORS = [
     ("weight_range_first_field_named", tr.WeightVector, (0.5, 2.0, -1.5),
      "neutral weight must lie in [0, 1], got 2.0"),
     ("weight_sum", tr.WeightVector, (0.5, 0.5, 0.5), "weights must sum to 1, got 1.5"),
+    # a bool or a non-number is refused as its document reader refuses it
+    ("weight_bool", tr.WeightVector, (True, False, False),
+     "hostile weight must be a number, got True"),
+    ("weight_string", tr.WeightVector, ("0.5", 0.25, 0.25),
+     "hostile weight must be a number, got '0.5'"),
+    ("weight_none", tr.WeightVector, (0.5, None, 0.5), "neutral weight must be a number, got None"),
     ("sign_hostile_zero", tr.ScalarConfig, (0, 1, 1), "hostile sign must be -1 or +1, got 0"),
     ("sign_neutral_bool", tr.ScalarConfig, (-1, True, 1),
      "neutral sign must be -1 or +1, got True"),
@@ -362,6 +368,11 @@ POST_INIT_ERRORS = [
      "friendly mass must lie in [0, 1], got nan"),
     ("mass_first_field_named", tr.CategoryMassVector, (2.0, 3.0, 0.0),
      "hostile mass must lie in [0, 1], got 2.0"),
+    ("mass_bool", tr.CategoryMassVector, (True, False, False),
+     "hostile mass must be a number, got True"),
+    ("mass_none", tr.CategoryMassVector, (None, 0, 0), "hostile mass must be a number, got None"),
+    ("mass_string", tr.CategoryMassVector, (0.0, 0.0, "1"),
+     "friendly mass must be a number, got '1'"),
     ("evaluation_off_scale", tr.TrustEvaluation, (2.0, 0.5, F, BOUNDS, True),
      "trust mass 2.0 lies outside the scale [-0.4, 0.6]"),
     ("evaluation_strength", tr.TrustEvaluation, (0.1, 1.5, F, BOUNDS, False),
@@ -370,6 +381,13 @@ POST_INIT_ERRORS = [
      "window start 2006-01-01 is after its end 2005-12-31"),
     ("property_id_empty", tr.PropertyDef, ("", F, 0.5), "property id must be non-empty"),
     ("property_cap", tr.PropertyDef, ("f.P1", F, 1.5), "cap of 'f.P1' must lie in [0, 1], got 1.5"),
+    ("property_id_type", tr.PropertyDef, (7, F, 0.5), "property id must be a string, got 7"),
+    ("property_cap_bool", tr.PropertyDef, ("f.P1", F, True),
+     "cap of 'f.P1' must be a number, got True"),
+    ("property_cap_none", tr.PropertyDef, ("f.P1", F, None),
+     "cap of 'f.P1' must be a number, got None"),
+    ("property_description", tr.PropertyDef, ("f.P1", F, 0.5, None),
+     "description of 'f.P1' must be a string, got None"),
     ("catalog_duplicate", tr.PropertyCatalog, ("v1", UNIT_CAPS + UNIT_CAPS[:1]),
      "duplicate property id 'h'"),
     ("catalog_total", tr.PropertyCatalog, ("v1", (tr.PropertyDef("h", H, 0.5),) + UNIT_CAPS[1:]),
@@ -382,6 +400,12 @@ POST_INIT_ERRORS = [
     ("entry_value", tr.AssessmentEntry, ("f.P1", 1.5), "observed value for 'f.P1' must lie in [0, 1], got 1.5"),
     ("entry_value_nan", tr.AssessmentEntry, ("f.P1", math.nan, [LINK]),
      "observed value for 'f.P1' must lie in [0, 1], got nan"),
+    ("entry_value_bool", tr.AssessmentEntry, ("f.P1", True),
+     "observed value for 'f.P1' must be a number, got True"),
+    ("entry_value_string", tr.AssessmentEntry, ("f.P1", "0.5"),
+     "observed value for 'f.P1' must be a number, got '0.5'"),
+    ("entry_property_id", tr.AssessmentEntry, (None, 0.5),
+     "entry property id must be a string, got None"),
     ("spec_kind", tr.SensitivitySpec, ("size", "hostile", 0.0, 1.0, 0.5),
      "target kind must be one of ('weight', 'property'), got 'size'"),
     ("spec_category", tr.SensitivitySpec, ("weight", "up", 0.0, 1.0, 0.5),
@@ -393,6 +417,9 @@ POST_INIT_ERRORS = [
     ("spec_points", tr.SensitivitySpec, ("property", "f.P1", 0.0, 1.0, 1e-6),
      "sweep step 1e-06 makes more than 100001 grid points"),
     ("nation_id", tr.Nation, ("",), "nation id must be non-empty"),
+    ("nation_id_type", tr.Nation, (7,), "nation id must be a string, got 7"),
+    ("nation_name", tr.Nation, ("USA", None), "nation name must be a string, got None"),
+    ("nation_un_member", tr.Nation, ("USA", "x", 1), "nation un_member must be a bool, got 1"),
 ]
 
 
