@@ -171,7 +171,8 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        hostile, neutral, friendly = self.hostile, self.neutral, self.friendly
+        fields = self.__dict__
+        hostile, neutral, friendly = fields["hostile"], fields["neutral"], fields["friendly"]
         # one test for the common case; the walk only names the first failure
         if not (type(hostile) is type(neutral) is type(friendly) is float
                 and 0.0 <= hostile <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= friendly <= 1.0):
@@ -253,7 +254,8 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        hostile, neutral, friendly = self.hostile, self.neutral, self.friendly
+        fields = self.__dict__
+        hostile, neutral, friendly = fields["hostile"], fields["neutral"], fields["friendly"]
         low, high = -TOLERANCE, 1.0 + TOLERANCE
         if not (type(hostile) is type(neutral) is type(friendly) is float
                 and low <= hostile <= high and low <= neutral <= high and low <= friendly <= high):

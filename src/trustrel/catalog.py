@@ -130,8 +130,9 @@ class AssessmentEntry:
     evidence: tuple[EvidenceLink, ...] = ()
 
     def __post_init__(self) -> None:
-        self.__dict__["evidence"] = tuple(self.evidence)
-        pid, value = self.property_id, self.value
+        fields = self.__dict__
+        fields["evidence"] = tuple(fields["evidence"])
+        pid, value = fields["property_id"], fields["value"]
         # one test for the common case; the rest only names the failure
         if not (type(value) is float and 0.0 <= value <= 1.0 and type(pid) is str):
             _string(pid, "entry property id")

@@ -266,7 +266,8 @@ class RelationStore:
         return store
 
     def _insert(self, record: RelationRecord) -> None:
-        """Add a record ``from_dict`` read, to the store it is building."""
+        """Add a record that ``from_dict`` read; it changes a stored window
+        map in place, as only a store that no reader has yet may."""
         self._check_pair(record.subject, record.object)
         windows = self._records.setdefault((record.subject, record.object), {})
         if record.window in windows:
