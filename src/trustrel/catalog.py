@@ -70,13 +70,10 @@ class PropertyDef:
         _string(self.id, "property id")
         if not self.id:
             raise ValidationError("property id must be non-empty")
-        # one test for the common case; the rest only names the failure
-        if not (type(self.cap) is float and 0.0 <= self.cap <= 1.0
-                and type(self.description) is str):
-            _number(self.cap, f"cap of {self.id!r}")
-            if not 0.0 <= self.cap <= 1.0:
-                raise ValidationError(f"cap of {self.id!r} must lie in [0, 1], got {self.cap}")
-            _string(self.description, f"description of {self.id!r}")
+        _number(self.cap, f"cap of {self.id!r}")
+        if not 0.0 <= self.cap <= 1.0:
+            raise ValidationError(f"cap of {self.id!r} must lie in [0, 1], got {self.cap}")
+        _string(self.description, f"description of {self.id!r}")
 
 
 @_frozen
