@@ -38,29 +38,20 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 
 
-def _parse_weights(args: argparse.Namespace) -> WeightVector:
-    """Weights from --weights h,n,f or the category-keyed long flags."""
-    long_form = (args.weight_hostile, args.weight_neutral, args.weight_friendly)
-    if args.weights is not None and any(w is not None for w in long_form):
-        raise ValidationError("use either --weights or the --weight-* flags, not both")
-    if args.weights is not None:
-        parts = args.weights.split(",")
-        if len(parts) != 3:
-            raise ValidationError(
-                "--weights takes three comma-separated values ordered hostile,neutral,friendly"
-            )
-        try:
-            raw = [float(p) for p in parts]
-        except ValueError:
-            raise ValidationError(f"--weights values must be numbers, got {args.weights!r}") from None
-        return WeightVector(*raw)
-    if any(w is not None for w in long_form):
-        if not all(w is not None for w in long_form):
-            raise ValidationError(
-                "all three of --weight-hostile, --weight-neutral, --weight-friendly are required"
-            )
-        return WeightVector(*long_form)
-    return WeightVector.uniform()
+def _parse_weights(text: str | None) -> WeightVector:
+    """The weights of --weights h,n,f; uniform when it is not given."""
+    if text is None:
+        return WeightVector.uniform()
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValidationError(
+            "--weights takes three comma-separated values ordered hostile,neutral,friendly"
+        )
+    try:
+        raw = [float(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"--weights values must be numbers, got {text!r}") from None
+    return WeightVector(*raw)
 
 
 def _parse_signs(text: str) -> ScalarConfig:
@@ -85,7 +76,7 @@ def _scoring_inputs(args: argparse.Namespace) -> tuple:
     """The catalog, assessment, weights and signs of evaluate and whatif."""
     return (_stage("catalog", load_catalog, args.catalog),
             _stage("assessment", load_assessment, args.assessment),
-            _stage("weights", _parse_weights, args),
+            _stage("weights", _parse_weights, args.weights),
             _stage("signs", _parse_signs, args.signs))
 
 
@@ -241,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", required=True)
         p.add_argument("--assessment", required=True)
         p.add_argument("--weights", help="three weights ordered hostile,neutral,friendly")
-        p.add_argument("--weight-hostile", type=float, default=None)
-        p.add_argument("--weight-neutral", type=float, default=None)
-        p.add_argument("--weight-friendly", type=float, default=None)
         p.add_argument(
             "--signs",
             default="-,+,+",

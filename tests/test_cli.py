@@ -139,15 +139,6 @@ class TestEvaluate:
         assert abs(doc["strength"] - 0.5325) <= 1e-12
         assert doc["label"] == "hostile"
 
-    def test_long_form_weight_flags(self, capsys):
-        code = main(
-            ["evaluate", "--catalog", CATALOG, "--assessment", USA,
-             "--weight-hostile", "0.40", "--weight-neutral", "0.20",
-             "--weight-friendly", "0.40", "--format", "json"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["label"] == "friendly"
-
     def test_band_table_flag(self, capsys):
         code = main(
             ["evaluate", "--catalog", CATALOG, "--assessment", RIVAL,
@@ -391,9 +382,6 @@ STAGE_FAILURES = {
         ["whatif", "--catalog", CATALOG, "--assessment", "{tmp}/no_entries.json",
          "--target", "weight:hostile", "--sweep", "0:1:0.5"], 2,
         "error: assessment: assessment: missing field 'entries'\n"),
-    "weights_both_forms": (
-        EVALUATE + ["--weights", "0.4,0.2,0.4", "--weight-hostile", "0.4"], 1,
-        "error: weights: use either --weights or the --weight-* flags, not both\n"),
     "weights_count": (
         EVALUATE + ["--weights", "0.4,0.6"], 1,
         "error: weights: --weights takes three comma-separated values "
@@ -405,10 +393,6 @@ STAGE_FAILURES = {
     "weights_not_numbers": (
         EVALUATE + ["--weights", "0.4,x,0.4"], 1,
         "error: weights: --weights values must be numbers, got '0.4,x,0.4'\n"),
-    "weights_long_form_incomplete": (
-        EVALUATE + ["--weight-hostile", "0.4", "--weight-neutral", "0.6"], 1,
-        "error: weights: all three of --weight-hostile, --weight-neutral, "
-        "--weight-friendly are required\n"),
     "weights_sum": (
         WHATIF + ["--weights", "0.5,0.5,0.5", "--target", "weight:hostile",
                   "--sweep", "0:1:0.5"], 1,
@@ -531,14 +515,15 @@ class TestDeterminism:
     ])
     def test_signs_led_by_minus_read_alike_in_both_spellings(self, command, capsys):
         # the last two items are a flag and its value led by "-", which main
-        # joins to --signs (also abbreviated), --weights and --sweep
+        # joins to --signs and --weights (also abbreviated) and --sweep
         *command, flag, value = command
         argv = command[:1] + ["--catalog", CATALOG, "--assessment", USA] + command[1:]
         if flag != "--weights":
             argv += ["--weights", "0.30,0.30,0.40"]
         spellings = [[flag, value], [f"{flag}={value}"]]
-        if flag == "--signs":
-            spellings.append(["--sig", value])
+        abbreviation = {"--signs": "--sig", "--weights": "--weight"}.get(flag)
+        if abbreviation:
+            spellings.append([abbreviation, value])
         outcomes = []
         for spelling in spellings:
             status = main(argv + spelling)
@@ -556,6 +541,14 @@ class TestDeterminism:
             main(argv)
         assert exit.value.code == 2
         assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("category", ["hostile", "neutral", "friendly"])
+    def test_a_category_weight_flag_is_unrecognized(self, category, capsys):
+        # weights are given only as --weights h,n,f
+        with pytest.raises(SystemExit) as exit:
+            main(EVALUATE + [f"--weight-{category}", "0.4"])
+        assert exit.value.code == 2
+        assert f"unrecognized arguments: --weight-{category} 0.4\n" in capsys.readouterr().err
 
 
 # --- every call exits 0, 1 or 2 ----------------------------------------------
@@ -633,8 +626,8 @@ def cli_calls(draw):
     """An argv for ``main``, with ``{name}`` for the path of each document
     in the dict returned with it.  Every option value is joined to its
     flag by "=", as argparse takes a separate value led by "-" for an
-    option; only --signs, --weights and --sweep are also written apart,
-    as ``main`` joins them."""
+    option; only --signs, --weights (also as its abbreviation --weight)
+    and --sweep are also written apart, as ``main`` joins them."""
     docs = {}
 
     def doc(kind):
@@ -645,7 +638,7 @@ def cli_calls(draw):
         value = draw(values if isinstance(values, st.SearchStrategy) else st.sampled_from(values))
         if not (required or draw(st.booleans())):
             return []
-        if name in ("signs", "weights", "sweep") and draw(st.booleans()):
+        if name in ("signs", "weights", "weight", "sweep") and draw(st.booleans()):
             return [f"--{name}", value]
         return [f"--{name}={value}"]
 
@@ -660,11 +653,9 @@ def cli_calls(draw):
         argv += doc("store") + opt("window", WINDOWS, required=True) + opt("nations", NATIONS)
         return argv + opt("format", ["text", "csv", "json"]), docs
     argv += doc("catalog") + doc("assessment")
-    argv += opt("weights", st.one_of(
+    argv += opt(draw(st.sampled_from(["weights", "weight"])), st.one_of(
         st.sampled_from(["0.4,0.2,0.4", "0.45,0.1,0.45", "-0.0,0.5,0.5", "1,0,0"]),
         _joined(NUMBERS, ",")))
-    for category in ("hostile", "neutral", "friendly"):
-        argv += opt(f"weight-{category}", NUMBERS)
     argv += opt("signs", _joined(["-", "+", "0", ""], ","))
     argv += opt("cap-mode", ["strict", "free", "lax"]) + opt("format", ["text", "json", "csv", "xml"])
     if command == "evaluate":
