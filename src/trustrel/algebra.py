@@ -110,6 +110,27 @@ def _string(value, what: str) -> None:
         raise ValidationError(f"{what} must be a string, got {value!r}")
 
 
+def _typed(value, kind: type, what: str) -> None:
+    """Refuse ``value``, named ``what``, unless its type is exactly ``kind``:
+    a ``datetime`` is not a ``date``, as a writer would keep its time."""
+    if type(value) is not kind:
+        raise ValidationError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+def _all(items, kind: type, what: str) -> tuple:
+    """``items`` as a tuple, refused, named ``what``, unless it is iterable
+    and each item's type is exactly ``kind``."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must hold only {kind.__name__} values, got {items!r}") from None
+    for item in items:
+        if type(item) is not kind:
+            raise ValidationError(f"{what} must hold only {kind.__name__} values, got {item!r}")
+    return items
+
+
 def _setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

@@ -24,8 +24,8 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen,
-                      _number, _repr, _string)
+from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _all, _eq,
+                      _frozen, _number, _repr, _string, _typed)
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -39,10 +39,11 @@ class DateWindow:
     end: date
 
     def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValidationError(
-                f"window start {self.start} is after its end {self.end}"
-            )
+        start, end = self.start, self.end
+        if not (type(start) is type(end) is date and start <= end):
+            _typed(start, date, "window start")
+            _typed(end, date, "window end")
+            raise ValidationError(f"window start {start} is after its end {end}")
 
     def contains(self, other: "DateWindow") -> bool:
         return self.start <= other.start and other.end <= self.end
@@ -117,6 +118,15 @@ class EvidenceLink:
     source: str
     summary: str = ""
 
+    def __post_init__(self) -> None:
+        fields = self.__dict__
+        day, source, summary = fields["date"], fields["source"], fields["summary"]
+        # one test for the common case; the rest only names the failure
+        if not (type(day) is date and type(source) is type(summary) is str):
+            _typed(day, date, "evidence date")
+            _string(source, "evidence source")
+            _string(summary, "evidence summary")
+
 
 @_frozen
 class AssessmentEntry:
@@ -128,7 +138,6 @@ class AssessmentEntry:
 
     def __post_init__(self) -> None:
         fields = self.__dict__
-        fields["evidence"] = tuple(fields["evidence"])
         pid, value = fields["property_id"], fields["value"]
         # one test for the common case; the rest only names the failure
         if not (type(value) is float and 0.0 <= value <= 1.0 and type(pid) is str):
@@ -136,6 +145,7 @@ class AssessmentEntry:
             _number(value, f"observed value for {pid!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
+        fields["evidence"] = _all(fields["evidence"], EvidenceLink, "entry evidence")
 
 
 @_frozen
@@ -149,7 +159,16 @@ class Assessment:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        self.__dict__["entries"] = tuple(self.entries)
+        fields = self.__dict__
+        subject, obj, window, notes = (fields["subject"], fields["object"], fields["window"],
+                                       fields["notes"])
+        # one test for the common case; the rest only names the failure
+        if not (type(subject) is type(obj) is type(notes) is str and type(window) is DateWindow):
+            _string(subject, "assessment subject")
+            _string(obj, "assessment object")
+            _typed(window, DateWindow, "assessment window")
+            _string(notes, "assessment notes")
+        fields["entries"] = _all(fields["entries"], AssessmentEntry, "assessment entries")
 
     def __getstate__(self) -> dict:
         # masses a scan kept stay with this object: a copy or pickle scans again

@@ -601,6 +601,27 @@ def _typed_or_anything(typed):
 a_string = _typed_or_anything(st.text(max_size=3))
 a_flag = _typed_or_anything(st.booleans())
 a_unit = _typed_or_anything(st.one_of(st.sampled_from([0, 1, 0.0, 0.25, 0.5, 1.0]), units))
+#: A day: a date, a datetime (which would be written with its time) or any scalar.
+a_day = _typed_or_anything(st.one_of(st.dates(), st.datetimes()))
+links = st.builds(tr.EvidenceLink, st.dates(), st.text(max_size=3))
+a_link = _typed_or_anything(links)
+an_entry = _typed_or_anything(st.builds(tr.AssessmentEntry, st.text(max_size=3), units,
+                                        st.lists(links, max_size=2)))
+
+
+def _some(items):
+    """A list of ``items`` half the time, else any scalar."""
+    return _typed_or_anything(st.lists(items, max_size=2))
+
+
+@st.composite
+def window_arguments(draw):
+    """Two days, put in order half the time when they compare."""
+    days = [draw(a_day), draw(a_day)]
+    if draw(st.booleans()):
+        with suppress(TypeError):
+            days.sort()
+    return tuple(days)
 
 
 @st.composite
@@ -633,9 +654,20 @@ def _weight_documents(weights):
     return store, tr.RelationStore.from_dict(_reread(store.to_dict()))
 
 
-def _entry_documents(entry):
-    assessment = tr.Assessment("AAA", "BBB", WINDOW, (entry,))
+def _assessment_documents(assessment):
     return assessment, tr.assessment_from_dict(_reread(tr.assessment_to_dict(assessment)))
+
+
+def _window_documents(window):
+    return _assessment_documents(tr.Assessment("AAA", "BBB", window))
+
+
+def _entry_documents(entry):
+    return _assessment_documents(tr.Assessment("AAA", "BBB", WINDOW, (entry,)))
+
+
+def _link_documents(link):
+    return _entry_documents(tr.AssessmentEntry("f.P1", 0.5, (link,)))
 
 
 def _property_documents(prop):
@@ -651,7 +683,11 @@ def _property_documents(prop):
 WRITTEN = [
     (tr.Nation, st.tuples(a_string, a_string, a_flag), _nation_documents),
     (tr.WeightVector, weight_arguments(), _weight_documents),
-    (tr.AssessmentEntry, st.tuples(a_string, a_unit), _entry_documents),
+    (tr.AssessmentEntry, st.tuples(a_string, a_unit, _some(a_link)), _entry_documents),
+    (tr.DateWindow, window_arguments(), _window_documents),
+    (tr.EvidenceLink, st.tuples(a_day, a_string, a_string), _link_documents),
+    (tr.Assessment, st.tuples(a_string, a_string, _typed_or_anything(st.just(WINDOW)),
+                              _some(an_entry), a_string), _assessment_documents),
     (tr.PropertyDef, st.tuples(a_string, st.sampled_from(tr.CATEGORIES), a_unit, a_string),
      _property_documents),
 ]

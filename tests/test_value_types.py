@@ -379,6 +379,17 @@ POST_INIT_ERRORS = [
      "strength must lie in [0, 1], got 1.5"),
     ("window_reversed", tr.DateWindow, (dt.date(2006, 1, 1), dt.date(2005, 12, 31)),
      "window start 2006-01-01 is after its end 2005-12-31"),
+    # a day is exactly a date: a datetime would be written with its time
+    ("window_start_string", tr.DateWindow, ("2001-01-01", "2005-01-01"),
+     "window start must be of type date, got '2001-01-01'"),
+    ("window_datetimes", tr.DateWindow, (dt.datetime(2001, 1, 1), dt.datetime(2005, 1, 1)),
+     "window start must be of type date, got datetime.datetime(2001, 1, 1, 0, 0)"),
+    ("window_end_datetime", tr.DateWindow, (DAY, dt.datetime(2005, 1, 1)),
+     "window end must be of type date, got datetime.datetime(2005, 1, 1, 0, 0)"),
+    ("link_date", tr.EvidenceLink, ("2002-06-01", "wire"),
+     "evidence date must be of type date, got '2002-06-01'"),
+    ("link_source", tr.EvidenceLink, (DAY, None), "evidence source must be a string, got None"),
+    ("link_summary", tr.EvidenceLink, (DAY, "wire", 7), "evidence summary must be a string, got 7"),
     ("property_id_empty", tr.PropertyDef, ("", F, 0.5), "property id must be non-empty"),
     ("property_cap", tr.PropertyDef, ("f.P1", F, 1.5), "cap of 'f.P1' must lie in [0, 1], got 1.5"),
     ("property_id_type", tr.PropertyDef, (7, F, 0.5), "property id must be a string, got 7"),
@@ -406,6 +417,20 @@ POST_INIT_ERRORS = [
      "observed value for 'f.P1' must be a number, got '0.5'"),
     ("entry_property_id", tr.AssessmentEntry, (None, 0.5),
      "entry property id must be a string, got None"),
+    ("entry_evidence_item", tr.AssessmentEntry, ("f.P1", 0.5, ("x",)),
+     "entry evidence must hold only EvidenceLink values, got 'x'"),
+    ("entry_evidence_none", tr.AssessmentEntry, ("f.P1", 0.5, None),
+     "entry evidence must hold only EvidenceLink values, got None"),
+    ("assessment_subject", tr.Assessment, (7, "GBR", WINDOW),
+     "assessment subject must be a string, got 7"),
+    ("assessment_object", tr.Assessment, ("USA", None, WINDOW),
+     "assessment object must be a string, got None"),
+    ("assessment_window", tr.Assessment, ("USA", "GBR", "2001-01-01:2005-12-31"),
+     "assessment window must be of type DateWindow, got '2001-01-01:2005-12-31'"),
+    ("assessment_entry", tr.Assessment, ("USA", "GBR", WINDOW, (ENTRY, "x")),
+     "assessment entries must hold only AssessmentEntry values, got 'x'"),
+    ("assessment_notes", tr.Assessment, ("USA", "GBR", WINDOW, (), None),
+     "assessment notes must be a string, got None"),
     ("spec_kind", tr.SensitivitySpec, ("size", "hostile", 0.0, 1.0, 0.5),
      "target kind must be one of ('weight', 'property'), got 'size'"),
     ("spec_category", tr.SensitivitySpec, ("weight", "up", 0.0, 1.0, 0.5),
