@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import math
+from collections import OrderedDict
 
 import pytest
 
@@ -256,6 +257,20 @@ class TestDocuments:
         message = f"assessment.window.start: expected an ISO-8601 date, got '{raw}'"
         with pytest.raises(tr.SchemaError, match=message):
             tr.assessment_from_dict(doc)
+
+    def test_subclassed_json_values_read_as_plain_ones(self, usa_assessment):
+        # a dict, list or str subclass fails the exact type test of _field
+        # and is taken by its isinstance check
+        class Text(str):
+            pass
+
+        class Items(list):
+            pass
+
+        doc = tr.assessment_to_dict(usa_assessment)
+        edited = dict(doc, subject=Text(doc["subject"]), window=OrderedDict(doc["window"]),
+                      entries=Items(doc["entries"]))
+        assert tr.assessment_from_dict(edited) == tr.assessment_from_dict(doc) == usa_assessment
 
     def test_entry_value_bounds(self):
         with pytest.raises(tr.ValidationError):
