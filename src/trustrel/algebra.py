@@ -117,7 +117,7 @@ def _typed(value, kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
-def _all(items, kind: type, what: str) -> tuple:
+def _tuple_of(items, kind: type, what: str) -> tuple:
     """``items`` as a tuple, refused, named ``what``, unless it is iterable
     and each item's type is exactly ``kind``."""
     try:

@@ -24,8 +24,8 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _all, _eq,
-                      _frozen, _number, _repr, _string, _typed)
+from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen,
+                      _number, _repr, _string, _tuple_of, _typed)
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -40,6 +40,7 @@ class DateWindow:
 
     def __post_init__(self) -> None:
         start, end = self.start, self.end
+        # one test for the common case; the rest names the failure
         if not (type(start) is type(end) is date and start <= end):
             _typed(start, date, "window start")
             _typed(end, date, "window end")
@@ -145,7 +146,7 @@ class AssessmentEntry:
             _number(value, f"observed value for {pid!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
-        fields["evidence"] = _all(fields["evidence"], EvidenceLink, "entry evidence")
+        fields["evidence"] = _tuple_of(fields["evidence"], EvidenceLink, "entry evidence")
 
 
 @_frozen
@@ -168,7 +169,7 @@ class Assessment:
             _string(obj, "assessment object")
             _typed(window, DateWindow, "assessment window")
             _string(notes, "assessment notes")
-        fields["entries"] = _all(fields["entries"], AssessmentEntry, "assessment entries")
+        fields["entries"] = _tuple_of(fields["entries"], AssessmentEntry, "assessment entries")
 
     def __getstate__(self) -> dict:
         # masses a scan kept stay with this object: a copy or pickle scans again
