@@ -104,6 +104,17 @@ def _number(value, what: str) -> None:
         raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
+def _in_range(value, what: str, low: float = 0.0, high: float = 1.0) -> None:
+    """Refuse ``value``, named ``what``, unless it is a number (see
+    ``_number``) in ``[low, high]``; the message names the interval [0, 1],
+    which a tolerance may widen."""
+    if type(value) is float and low <= value <= high:
+        return
+    _number(value, what)
+    if not low <= value <= high:
+        raise ValidationError(f"{what} must lie in [0, 1], got {value}")
+
+
 def _string(value, what: str) -> None:
     """Refuse ``value``, named ``what``, unless it is a str."""
     if not isinstance(value, str):
@@ -192,15 +203,10 @@ class WeightVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        fields = self.__dict__
-        hostile, neutral, friendly = fields["hostile"], fields["neutral"], fields["friendly"]
-        # one test for the common case; the walk only names the first failure
-        if not (type(hostile) is type(neutral) is type(friendly) is float
-                and 0.0 <= hostile <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= friendly <= 1.0):
-            for name, weight in vars(self).items():
-                _number(weight, f"{name} weight")
-                if not 0.0 <= weight <= 1.0:
-                    raise ValidationError(f"{name} weight must lie in [0, 1], got {weight}")
+        hostile, neutral, friendly = self.hostile, self.neutral, self.friendly
+        _in_range(hostile, "hostile weight")
+        _in_range(neutral, "neutral weight")
+        _in_range(friendly, "friendly weight")
         total = hostile + neutral + friendly
         if abs(total - 1.0) > TOLERANCE:
             raise ValidationError(f"weights must sum to 1, got {total}")
@@ -220,12 +226,9 @@ class ScalarConfig(_PerCategory):
     friendly: int = 1
 
     def __post_init__(self) -> None:
-        if not (type(self.hostile) is int and self.hostile in (-1, 1)
-                and type(self.neutral) is int and self.neutral in (-1, 1)
-                and type(self.friendly) is int and self.friendly in (-1, 1)):
-            for name, sign in vars(self).items():
-                if type(sign) is not int or sign not in (-1, 1):
-                    raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
+        for name, sign in vars(self).items():
+            if type(sign) is not int or sign not in (-1, 1):
+                raise ValidationError(f"{name} sign must be -1 or +1, got {sign}")
 
 
 #: Hostile counts against the score; neutral and friendly count toward it.
@@ -275,15 +278,9 @@ class CategoryMassVector(_PerCategory):
     friendly: float
 
     def __post_init__(self) -> None:
-        fields = self.__dict__
-        hostile, neutral, friendly = fields["hostile"], fields["neutral"], fields["friendly"]
-        low, high = -TOLERANCE, 1.0 + TOLERANCE
-        if not (type(hostile) is type(neutral) is type(friendly) is float
-                and low <= hostile <= high and low <= neutral <= high and low <= friendly <= high):
-            for name, mass in vars(self).items():
-                _number(mass, f"{name} mass")
-                if not low <= mass <= high:
-                    raise ValidationError(f"{name} mass must lie in [0, 1], got {mass}")
+        _in_range(self.hostile, "hostile mass", -TOLERANCE, 1.0 + TOLERANCE)
+        _in_range(self.neutral, "neutral mass", -TOLERANCE, 1.0 + TOLERANCE)
+        _in_range(self.friendly, "friendly mass", -TOLERANCE, 1.0 + TOLERANCE)
 
 
 def compute_bounds(

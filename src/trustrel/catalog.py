@@ -25,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .algebra import (CATEGORIES, TOLERANCE, CategoryMassVector, RelationCategory, _eq, _frozen,
-                      _number, _repr, _string, _tuple_of, _typed)
+                      _in_range, _repr, _string, _tuple_of, _typed)
 from .errors import SchemaError, ValidationError
 
 CAP_MODES = ("strict", "free")
@@ -40,10 +40,9 @@ class DateWindow:
 
     def __post_init__(self) -> None:
         start, end = self.start, self.end
-        # one test for the common case; the rest names the failure
-        if not (type(start) is type(end) is date and start <= end):
-            _typed(start, date, "window start")
-            _typed(end, date, "window end")
+        _typed(start, date, "window start")
+        _typed(end, date, "window end")
+        if start > end:
             raise ValidationError(f"window start {start} is after its end {end}")
 
     def contains(self, other: "DateWindow") -> bool:
@@ -72,9 +71,7 @@ class PropertyDef:
         _string(self.id, "property id")
         if not self.id:
             raise ValidationError("property id must be non-empty")
-        _number(self.cap, f"cap of {self.id!r}")
-        if not 0.0 <= self.cap <= 1.0:
-            raise ValidationError(f"cap of {self.id!r} must lie in [0, 1], got {self.cap}")
+        _in_range(self.cap, f"cap of {self.id!r}")
         _string(self.description, f"description of {self.id!r}")
 
 
@@ -143,9 +140,7 @@ class AssessmentEntry:
         # one test for the common case; the rest only names the failure
         if not (type(value) is float and 0.0 <= value <= 1.0 and type(pid) is str):
             _string(pid, "entry property id")
-            _number(value, f"observed value for {pid!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
+            _in_range(value, f"observed value for {pid!r}")
         fields["evidence"] = _tuple_of(fields["evidence"], EvidenceLink, "entry evidence")
 
 
@@ -161,14 +156,10 @@ class Assessment:
 
     def __post_init__(self) -> None:
         fields = self.__dict__
-        subject, obj, window, notes = (fields["subject"], fields["object"], fields["window"],
-                                       fields["notes"])
-        # one test for the common case; the rest only names the failure
-        if not (type(subject) is type(obj) is type(notes) is str and type(window) is DateWindow):
-            _string(subject, "assessment subject")
-            _string(obj, "assessment object")
-            _typed(window, DateWindow, "assessment window")
-            _string(notes, "assessment notes")
+        _string(fields["subject"], "assessment subject")
+        _string(fields["object"], "assessment object")
+        _typed(fields["window"], DateWindow, "assessment window")
+        _string(fields["notes"], "assessment notes")
         fields["entries"] = _tuple_of(fields["entries"], AssessmentEntry, "assessment entries")
 
     def __getstate__(self) -> dict:
