@@ -399,7 +399,7 @@ class BandTable:
     bands: tuple[Band, ...]
 
     def __post_init__(self) -> None:
-        self.__dict__["bands"] = tuple(self.bands)
+        self.__dict__["bands"] = _tuple_of(self.bands, Band, "band table")
 
     def validate_against(self, bounds: ScalarBounds) -> None:
         """Raise ValidationError unless this table tiles ``bounds``."""

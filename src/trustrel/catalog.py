@@ -83,7 +83,8 @@ class PropertyCatalog:
     properties: tuple[PropertyDef, ...]
 
     def __post_init__(self) -> None:
-        self.__dict__["properties"] = tuple(self.properties)
+        _string(self.version, "catalog version")
+        self.__dict__["properties"] = _tuple_of(self.properties, PropertyDef, "catalog properties")
         seen: set[str] = set()
         for prop in self.properties:
             if prop.id in seen:

@@ -33,6 +33,8 @@ from .algebra import (
     _edges,
     _Fields,
     _frozen,
+    _in_range,
+    _number,
     compute_bounds,
     evaluate,
     interpret_strength,
@@ -216,13 +218,11 @@ class SensitivitySpec:
             )
         if self.target_kind == "weight":
             self.target_category()
+        _number(self.step, "sweep step")
         if not 0.0 < self.step < math.inf:
             raise ValidationError(f"sweep step must be positive and finite, got {self.step}")
-        for value in (self.start, self.stop):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"sweep endpoints must lie in [0, 1], got {value}"
-                )
+        _in_range(self.start, "sweep endpoints")
+        _in_range(self.stop, "sweep endpoints")
         # floor(x) + 1 <= MAX_SWEEP_POINTS exactly when x < MAX_SWEEP_POINTS,
         # which also rejects an infinite x before floor() would overflow
         if not self._last_index() < MAX_SWEEP_POINTS:

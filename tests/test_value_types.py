@@ -349,12 +349,20 @@ POST_INIT_ERRORS = [
     ("weight_string", tr.WeightVector, ("0.5", 0.25, 0.25),
      "hostile weight must be a number, got '0.5'"),
     ("weight_none", tr.WeightVector, (0.5, None, 0.5), "neutral weight must be a number, got None"),
+    # with several bad fields the first is named, whichever its fault
+    ("weight_first_of_several", tr.WeightVector, ("a", 2.0, None),
+     "hostile weight must be a number, got 'a'"),
+    ("weight_range_before_later_type", tr.WeightVector, (2.0, "a", None),
+     "hostile weight must lie in [0, 1], got 2.0"),
+    ("weight_field_before_sum", tr.WeightVector, (0.5, 0.5, "a"),
+     "friendly weight must be a number, got 'a'"),
     ("sign_hostile_zero", tr.ScalarConfig, (0, 1, 1), "hostile sign must be -1 or +1, got 0"),
     ("sign_neutral_bool", tr.ScalarConfig, (-1, True, 1),
      "neutral sign must be -1 or +1, got True"),
     ("sign_friendly_float", tr.ScalarConfig, (-1, 1, 1.0),
      "friendly sign must be -1 or +1, got 1.0"),
     ("sign_first_field_named", tr.ScalarConfig, (-1, 2, 0), "neutral sign must be -1 or +1, got 2"),
+    ("sign_first_of_several", tr.ScalarConfig, (0, "x", None), "hostile sign must be -1 or +1, got 0"),
     ("bounds_order", tr.ScalarBounds, (0.0, 1.0, 0.5, 0.4),
      "bounds must satisfy lower <= middle_band_low <= middle_band_high <= upper, got "
      "ScalarBounds(lower=0.0, upper=1.0, middle_band_low=0.5, middle_band_high=0.4)"),
@@ -373,10 +381,14 @@ POST_INIT_ERRORS = [
     ("mass_none", tr.CategoryMassVector, (None, 0, 0), "hostile mass must be a number, got None"),
     ("mass_string", tr.CategoryMassVector, (0.0, 0.0, "1"),
      "friendly mass must be a number, got '1'"),
+    ("mass_first_of_several", tr.CategoryMassVector, (0.5, "x", 2.0),
+     "neutral mass must be a number, got 'x'"),
     ("evaluation_off_scale", tr.TrustEvaluation, (2.0, 0.5, F, BOUNDS, True),
      "trust mass 2.0 lies outside the scale [-0.4, 0.6]"),
     ("evaluation_strength", tr.TrustEvaluation, (0.1, 1.5, F, BOUNDS, False),
      "strength must lie in [0, 1], got 1.5"),
+    ("band_table_item", tr.BandTable, ((CALM, "x"),), "band table must hold only Band values, got 'x'"),
+    ("band_table_none", tr.BandTable, (None,), "band table must hold only Band values, got None"),
     ("window_reversed", tr.DateWindow, (dt.date(2006, 1, 1), dt.date(2005, 12, 31)),
      "window start 2006-01-01 is after its end 2005-12-31"),
     # a day is exactly a date: a datetime would be written with its time
@@ -386,6 +398,10 @@ POST_INIT_ERRORS = [
      "window start must be of type date, got datetime.datetime(2001, 1, 1, 0, 0)"),
     ("window_end_datetime", tr.DateWindow, (DAY, dt.datetime(2005, 1, 1)),
      "window end must be of type date, got datetime.datetime(2005, 1, 1, 0, 0)"),
+    ("window_first_of_several", tr.DateWindow, ("2006-01-01", None),
+     "window start must be of type date, got '2006-01-01'"),
+    ("window_type_before_order", tr.DateWindow, (dt.date(2006, 1, 1), "2005-12-31"),
+     "window end must be of type date, got '2005-12-31'"),
     ("link_date", tr.EvidenceLink, ("2002-06-01", "wire"),
      "evidence date must be of type date, got '2002-06-01'"),
     ("link_source", tr.EvidenceLink, (DAY, None), "evidence source must be a string, got None"),
@@ -399,6 +415,15 @@ POST_INIT_ERRORS = [
      "cap of 'f.P1' must be a number, got None"),
     ("property_description", tr.PropertyDef, ("f.P1", F, 0.5, None),
      "description of 'f.P1' must be a string, got None"),
+    ("property_cap_before_description", tr.PropertyDef, ("f.P1", F, 2.0, None),
+     "cap of 'f.P1' must lie in [0, 1], got 2.0"),
+    ("catalog_version", tr.PropertyCatalog, (7, UNIT_CAPS), "catalog version must be a string, got 7"),
+    ("catalog_property_item", tr.PropertyCatalog, ("v1", ["x"]),
+     "catalog properties must hold only PropertyDef values, got 'x'"),
+    ("catalog_properties_none", tr.PropertyCatalog, ("v1", None),
+     "catalog properties must hold only PropertyDef values, got None"),
+    ("catalog_version_before_properties", tr.PropertyCatalog, (None, ["x"]),
+     "catalog version must be a string, got None"),
     ("catalog_duplicate", tr.PropertyCatalog, ("v1", UNIT_CAPS + UNIT_CAPS[:1]),
      "duplicate property id 'h'"),
     ("catalog_total", tr.PropertyCatalog, ("v1", (tr.PropertyDef("h", H, 0.5),) + UNIT_CAPS[1:]),
@@ -421,6 +446,10 @@ POST_INIT_ERRORS = [
      "entry evidence must hold only EvidenceLink values, got 'x'"),
     ("entry_evidence_none", tr.AssessmentEntry, ("f.P1", 0.5, None),
      "entry evidence must hold only EvidenceLink values, got None"),
+    ("entry_first_of_several", tr.AssessmentEntry, (None, "x", None),
+     "entry property id must be a string, got None"),
+    ("entry_value_before_evidence", tr.AssessmentEntry, ("f.P1", 2.0, None),
+     "observed value for 'f.P1' must lie in [0, 1], got 2.0"),
     ("assessment_subject", tr.Assessment, (7, "GBR", WINDOW),
      "assessment subject must be a string, got 7"),
     ("assessment_object", tr.Assessment, ("USA", None, WINDOW),
@@ -431,6 +460,12 @@ POST_INIT_ERRORS = [
      "assessment entries must hold only AssessmentEntry values, got 'x'"),
     ("assessment_notes", tr.Assessment, ("USA", "GBR", WINDOW, (), None),
      "assessment notes must be a string, got None"),
+    ("assessment_first_of_several", tr.Assessment, (7, None, "w"),
+     "assessment subject must be a string, got 7"),
+    ("assessment_object_before_window", tr.Assessment, ("USA", 7, "w", ("x",), None),
+     "assessment object must be a string, got 7"),
+    ("assessment_notes_before_entries", tr.Assessment, ("USA", "GBR", WINDOW, ("x",), None),
+     "assessment notes must be a string, got None"),
     ("spec_kind", tr.SensitivitySpec, ("size", "hostile", 0.0, 1.0, 0.5),
      "target kind must be one of ('weight', 'property'), got 'size'"),
     ("spec_category", tr.SensitivitySpec, ("weight", "up", 0.0, 1.0, 0.5),
@@ -439,6 +474,17 @@ POST_INIT_ERRORS = [
      "sweep step must be positive and finite, got 0.0"),
     ("spec_endpoint", tr.SensitivitySpec, ("property", "f.P1", 0.0, 1.5, 0.5),
      "sweep endpoints must lie in [0, 1], got 1.5"),
+    # as in a document, a bool is not a number
+    ("spec_endpoint_string", tr.SensitivitySpec, ("weight", "hostile", "0", 1.0, 0.5),
+     "sweep endpoints must be a number, got '0'"),
+    ("spec_endpoint_bool", tr.SensitivitySpec, ("property", "f.P1", 0.0, True, 0.5),
+     "sweep endpoints must be a number, got True"),
+    ("spec_step_string", tr.SensitivitySpec, ("property", "f.P1", 0.0, 1.0, "0.5"),
+     "sweep step must be a number, got '0.5'"),
+    ("spec_step_bool", tr.SensitivitySpec, ("property", "f.P1", 0.0, 1.0, True),
+     "sweep step must be a number, got True"),
+    ("spec_step_before_endpoints", tr.SensitivitySpec, ("property", "f.P1", "0", "1", None),
+     "sweep step must be a number, got None"),
     ("spec_points", tr.SensitivitySpec, ("property", "f.P1", 0.0, 1.0, 1e-6),
      "sweep step 1e-06 makes more than 100001 grid points"),
     ("nation_id", tr.Nation, ("",), "nation id must be non-empty"),
