@@ -362,7 +362,6 @@ POST_INIT_ERRORS = [
     ("sign_friendly_float", tr.ScalarConfig, (-1, 1, 1.0),
      "friendly sign must be -1 or +1, got 1.0"),
     ("sign_first_field_named", tr.ScalarConfig, (-1, 2, 0), "neutral sign must be -1 or +1, got 2"),
-    ("sign_first_of_several", tr.ScalarConfig, (0, "x", None), "hostile sign must be -1 or +1, got 0"),
     ("bounds_order", tr.ScalarBounds, (0.0, 1.0, 0.5, 0.4),
      "bounds must satisfy lower <= middle_band_low <= middle_band_high <= upper, got "
      "ScalarBounds(lower=0.0, upper=1.0, middle_band_low=0.5, middle_band_high=0.4)"),
