@@ -308,16 +308,23 @@ def compute_bounds(
 def _edges(wh: float, wn: float, wf: float, sh: float, sn: float, sf: float) -> tuple:
     """The scale's lower and upper bounds and middle band edges for plain
     weights and signs, unchecked."""
-    signed_friendly = sf * wf
+    hostile, neutral, friendly = sh * wh, sn * wn, sf * wf
     # left to right from the int 0, so an empty side prints as 0: sum() does
     # the same before Python 3.12, but compensates float sums from 3.12 on
     lower = upper = 0
-    for v in (sh * wh, sn * wn, signed_friendly):
-        if v < 0.0:
-            lower += v
-        elif v > 0.0:
-            upper += v
-    return lower, upper, lower + wh, upper - signed_friendly
+    if hostile < 0.0:
+        lower += hostile
+    elif hostile > 0.0:
+        upper += hostile
+    if neutral < 0.0:
+        lower += neutral
+    elif neutral > 0.0:
+        upper += neutral
+    if friendly < 0.0:
+        lower += friendly
+    elif friendly > 0.0:
+        upper += friendly
+    return lower, upper, lower + wh, upper - friendly
 
 
 def compute_trust_mass(
@@ -384,6 +391,12 @@ class Band:
     low: float
     high: float
     parent: RelationCategory
+
+    def __post_init__(self) -> None:
+        _string(self.label, "band label")
+        _number(self.low, "band low")
+        _number(self.high, "band high")
+        _typed(self.parent, RelationCategory, "band parent")
 
 
 @_frozen

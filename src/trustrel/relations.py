@@ -29,6 +29,7 @@ from .algebra import (
     WeightVector,
     _frozen,
     _string,
+    _typed,
     classify,
     compute_bounds,
     evaluate,
@@ -77,6 +78,29 @@ class RelationRecord:
     signs: ScalarConfig | None = None
     assessment_ref: str | None = None
     near_misses: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        fields = self.__dict__
+        subject, object_, window = fields["subject"], fields["object"], fields["window"]
+        evaluation, weights, signs = fields["evaluation"], fields["weights"], fields["signs"]
+        ref = fields["assessment_ref"]
+        # one test for the common case; the rest only names the failure
+        if not (type(subject) is type(object_) is str and type(window) is DateWindow
+                and (evaluation is None or type(evaluation) is TrustEvaluation)
+                and (weights is None or type(weights) is WeightVector)
+                and (signs is None or type(signs) is ScalarConfig)
+                and (ref is None or type(ref) is str)):
+            _string(subject, "record subject")
+            _string(object_, "record object")
+            _typed(window, DateWindow, "record window")
+            if evaluation is not None:
+                _typed(evaluation, TrustEvaluation, "record evaluation")
+            if weights is not None:
+                _typed(weights, WeightVector, "record weights")
+            if signs is not None:
+                _typed(signs, ScalarConfig, "record signs")
+            if ref is not None:
+                _string(ref, "record assessment_ref")
 
     @property
     def defined(self) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterator
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 from .algebra import (
@@ -363,82 +363,124 @@ def run_whatif(
 
     The base label comes from the unswept configuration; each row is
     flagged when its label differs, and the first such grid value is
-    reported as the flip point.  One loop evaluates the points of either
-    source, each 11 numbers (value, masses, weights, the scale's four
-    edges, of which an empty side is ``compute_bounds``' int 0): the grid
-    value reweighted with the other two weights and scaled, or the swept
-    property's value added to its category's prefix and tail.  Each point
-    is computed on plain floats by the operations that evaluating it
-    alone performs, so each row is bit for bit that evaluation's, and is
-    checked by the same functions that the value types call.  The sweep
-    stops at its first failing point with the error that evaluating it
-    alone raises: the loop checks each point it gets, and a source raises
-    in place of a point it cannot give (a cap or category-total breach,
-    or a weight sweep's failing reweight or scale).  Neither source keeps
-    anything between sweeps.
+    reported as the flip point.  The grid is evaluated a column at a time.
+    A source gives a column per number of a point: the masses, the weights
+    and the scale's four edges (an empty side is ``compute_bounds``' int
+    0), and a column that does not change across the grid as a
+    ``repeat()``.  A weight sweep reweights and scales each grid value; a
+    property sweep adds each to its category's prefix and tail.  Every
+    number is computed on plain floats by the operations that evaluating
+    its point alone performs, so each row is bit for bit that
+    evaluation's.  The sweep fails at its lowest failing point with the
+    error that evaluating that point alone raises, a point's source checks
+    first: a source stops its columns before the first point it cannot
+    give (a cap or category-total breach, or a weight sweep's failing
+    reweight or scale) and returns that point's error, and the scale and
+    strength checks are one test of the whole grid, replayed point by
+    point only if it fails.  Neither source keeps anything between sweeps.
     """
     base_masses = aggregate_masses(assessment, catalog, mode=mode)
     base = evaluate(base_masses, weights, signs)
-    base_label = base.label
-    masses = [base_masses.hostile, base_masses.neutral, base_masses.friendly]
+    base_label = base.label._value_
+    masses = (base_masses.hostile, base_masses.neutral, base_masses.friendly)
+    values = spec.values()
     if spec.target_kind == "weight":
-        points = _weight_points(weights, spec, signs, masses)
+        columns, error = _weight_columns(weights, spec, signs, masses, values)
     else:
-        points = _property_points(catalog, assessment, spec, mode, masses, weights, base.bounds)
+        columns, error = _property_columns(catalog, assessment, spec, mode, masses, weights,
+                                           base.bounds, values)
+    mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high = columns
     # masses are floats, so float signs give the int signs' bits, multiplied faster
     sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
-    rows = []
-    first_flip = None
-    for value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high in points:
-        # compute_trust_mass, compute_strength, classify, TrustEvaluation
-        trust_mass = mh * sh * wh + mn * sn * wn + mf * sf * wf
-        strength = mh * wh + mn * wn + mf * wf
-        label = _classify(trust_mass, lower, upper, band_low, band_high)
-        _check_strength(strength)
-        flipped = label is not base_label
-        if flipped and first_flip is None:
-            first_flip = value
-        # _value_ is the member's value, read without the Enum.value property
-        rows.append(SweepRow(value, trust_mass, strength, label._value_, flipped))
+    # compute_trust_mass, compute_strength and classify, a column each
+    trust_mass = [h * sh * a + n * sn * b + f * sf * c
+                  for h, n, f, a, b, c in zip(mh, mn, mf, wh, wn, wf)]
+    strength = [h * a + n * b + f * c for h, n, f, a, b, c in zip(mh, mn, mf, wh, wn, wf)]
+    # _value_ is the member's value, read without the Enum.value property
+    hostile, neutral, friendly = [c._value_ for c in CATEGORIES]
+    labels = [hostile if t < low else neutral if t <= high else friendly
+              for t, low, high in zip(trust_mass, band_low, band_high)]
+    # the checks of _classify and _check_strength for the whole grid at once
+    # (an empty grid, whose first point failed, passes): by min and max on a
+    # property sweep's fixed scale; a weight sweep's fixed masses, each at
+    # most 1, put every score on its point's scale up to rounding, as each
+    # point's weights lie in [0, 1], but a mass may reach 1 + TOLERANCE
+    if spec.target_kind == "weight":
+        on_scale = max(masses) <= 1.0
+    else:
+        b = base.bounds
+        on_scale = (b.lower - TOLERANCE <= min(trust_mass, default=0.0)
+                    and max(trust_mass, default=0.0) <= b.upper + TOLERANCE)
+    if not (on_scale and -TOLERANCE <= min(strength, default=0.0)
+            and max(strength, default=0.0) <= 1.0 + TOLERANCE):
+        for point in zip(trust_mass, lower, upper, band_low, band_high, strength):
+            _classify(*point[:5])
+            _check_strength(point[5])
+    if error is not None:
+        raise error
+    flipped = [label != base_label for label in labels]
     return SweepResult(
         target_kind=spec.target_kind,
         target=spec.target,
-        base_label=base_label.value,
-        rows=tuple(rows),
-        first_flip=first_flip,
+        base_label=base_label,
+        rows=tuple(map(SweepRow, values, trust_mass, strength, labels, flipped)),
+        first_flip=next(compress(values, flipped), None),
     )
 
 
-def _weight_points(
-    weights: WeightVector, spec: SensitivitySpec, signs: ScalarConfig, masses: list
-) -> Iterator[tuple]:
-    """A weight sweep's points, each reweighted and scaled on plain floats
-    by ``_reweighted`` and ``_edges``, the code of ``reweight`` and
-    ``compute_bounds``; a point that fails a check is left to those two
-    functions, which raise its error."""
+def _weight_columns(
+    weights: WeightVector, spec: SensitivitySpec, signs: ScalarConfig, masses: tuple,
+    values: list,
+) -> tuple:
+    """A weight sweep's columns, which stop before its first failing point,
+    and that point's error, or None: each point reweighted and scaled on
+    plain floats by ``_reweighted`` and ``_edges``, the code of ``reweight``
+    and ``compute_bounds``; a point that may fail a check is left to those
+    two functions, which raise its error."""
     category = spec.target_category()
     index = CATEGORIES.index(category)
-    mh, mn, mf = masses
     # float signs give the int signs' bits, multiplied faster
     sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
     o0, o1 = [weights[c] for c in CATEGORIES if c is not category]
-    for value in spec.values():
-        wh, wn, wf = _reweighted(o0, o1, index, value)
-        lower, upper, band_low, band_high = _edges(wh, wn, wf, sh, sn, sf)
-        # the value types' other checks hold for every reweighted point:
-        # weights >= 0 summing to 1 within a few ulps, as does the scale's
-        # width, and band_low >= lower, as wh >= 0
-        if not (wh <= 1.0 and wn <= 1.0 and wf <= 1.0 and band_low <= band_high + TOLERANCE
-                and band_high <= upper + TOLERANCE):
-            compute_bounds(reweight(weights, category, value), signs)
-        yield value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high
+    points, error = [], None
+    try:
+        for value in values:
+            points.append(_reweighted(o0, o1, index, value))
+    except ValidationError as err:  # the points before the first it refuses stay
+        error = err
+    if not points:
+        return ((),) * 10, error
+    # transposed at once: a tuple kept per point would count toward the
+    # young generation's next garbage collection
+    wh, wn, wf = zip(*points)
+    del points
+    lower, upper, band_low, band_high = zip(*[_edges(h, n, f, sh, sn, sf)
+                                              for h, n, f in zip(wh, wn, wf)])
+    columns = [wh, wn, wf, lower, upper, band_low, band_high]
+    # the value types' other checks hold for every reweighted point:
+    # weights >= 0 summing to 1 within a few ulps, as does the scale's
+    # width, and band_low >= lower, as wh >= 0; under a positive friendly
+    # sign the middle band is ordered and inside the scale up to rounding.
+    # A NaN weight, 0 times an infinite scale, has an infinite one beside it.
+    if not (sf > 0.0 and max(chain(wh, wn, wf)) <= 1.0):
+        for k, (h, n, f, up, low, high) in enumerate(zip(wh, wn, wf, upper, band_low, band_high)):
+            if not (h <= 1.0 and n <= 1.0 and f <= 1.0 and low <= high + TOLERANCE
+                    and high <= up + TOLERANCE):
+                try:
+                    compute_bounds(reweight(weights, category, values[k]), signs)
+                except ValidationError as err:
+                    columns = [column[:k] for column in columns]
+                    error = err
+                    break
+    return (*map(repeat, masses), *columns), error
 
 
-def _property_points(
+def _property_columns(
     catalog: PropertyCatalog, assessment: Assessment, spec: SensitivitySpec, mode: str,
-    masses: list, weights: WeightVector, bounds: ScalarBounds,
-) -> Iterator[tuple]:
-    """A property sweep's points, each cap or total breach raised in place."""
+    masses: tuple, weights: WeightVector, bounds: ScalarBounds, values: list,
+) -> tuple:
+    """A property sweep's columns, which stop before its first cap or total
+    breach, and that breach's error, or None."""
     # the swept category adds the entries before the swept one, the value,
     # then the entries after it, as aggregate_masses does, which found every
     # entry's id in the catalog
@@ -455,23 +497,27 @@ def _property_points(
                 prefix += entry.value
     if found != 1:
         raise ValidationError(f"expected exactly one entry for {spec.target!r}, found {found}")
-    index = CATEGORIES.index(category)
-    wh, wn, wf = weights.hostile, weights.neutral, weights.friendly
+    # the other entries passed their checks in base_masses
+    totals = [prefix + value for value in values]
+    for later in tail:
+        totals = [total + later for total in totals]
+    # no observed-value range check: SensitivitySpec.values() clamps to [0, 1];
+    # _cap_breach and _total_breach for the whole grid, replayed point by
+    # point when a point may breach
+    error = None
+    if ((mode == "strict" and max(values) > prop.cap + TOLERANCE)
+            or max(totals) > 1.0 + TOLERANCE):
+        for k, (value, total) in enumerate(zip(values, totals)):
+            breach = _cap_breach(prop, value, mode) or _total_breach(category, total)
+            if breach:
+                totals, error = totals[:k], ValidationError(breach)
+                break
+    # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
     b = bounds
-    lower, upper, band_low, band_high = b.lower, b.upper, b.middle_band_low, b.middle_band_high
-    for value in spec.values():
-        # the other entries passed their checks in base_masses
-        total = prefix + value
-        for later in tail:
-            total += later
-        # no observed-value range check: SensitivitySpec.values() clamps to [0, 1]
-        breach = _cap_breach(prop, value, mode) or _total_breach(category, total)
-        if breach:
-            raise ValidationError(breach)
-        # no CategoryMassVector check: a sum of values >= 0 that _total_breach caps
-        masses[index] = total
-        mh, mn, mf = masses
-        yield value, mh, mn, mf, wh, wn, wf, lower, upper, band_low, band_high
+    columns = [*map(repeat, (*masses, weights.hostile, weights.neutral, weights.friendly,
+                             b.lower, b.upper, b.middle_band_low, b.middle_band_high))]
+    columns[CATEGORIES.index(category)] = totals
+    return columns, error
 
 
 # --- band table documents ----------------------------------------------------

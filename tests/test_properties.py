@@ -478,6 +478,81 @@ def test_reweight_matches_enum_keyed_formula(weights, category, value):
         assert got == _enum_keyed_reweight(weights, category, value)
 
 
+# --- a sweep fails at its lowest failing point ------------------------------
+
+# A sweep fails at its lowest failing point, a point's source checks (cap,
+# category total, reweight, scale) before its score and strength checks.
+# Masses of exactly 1 + TOLERANCE (free mode) fail only the latter; the
+# cases run both kinds of check in both orders, fail at the first point
+# or the only one, and pass over one point and over descending grids.
+_AT_CAP = [("h.P1", 1.0), ("n.P1", 1.0), ("f.P1", 1.0), ("f.P2", 0.0)]
+_PLAIN = [("h.P1", 0.5), ("n.P1", 0.25), ("f.P1", 0.5)]
+_NEAR_ONE = tr.WeightVector(0.3, 0.3, 0.4 + 9e-10)
+_FRIENDLY_NONE = tr.WeightVector(0.003, 1 - 9e-10 - 0.003, 0.0)
+_DEGENERATE = ("degenerate sign/weight combination: bounds must satisfy lower <= middle_band_low"
+               " <= middle_band_high <= upper, got ")
+ORDERED_FAILURES = {
+    "strength_then_total": (
+        _AT_CAP, _NEAR_ONE, tr.DEFAULT_SIGNS, "free", ("property", "f.P2", 0.0, 2e-9, 1e-9),
+        "strength must lie in [0, 1], got 1.0000000013",
+    ),
+    "total_then_strength": (
+        _AT_CAP, _NEAR_ONE, tr.DEFAULT_SIGNS, "free", ("property", "f.P2", 2e-9, 0.0, 1e-9),
+        "friendly mass 1.000000002 exceeds 1",
+    ),
+    "strength_then_scale": (
+        _AT_TOLERANCE, _FRIENDLY_NONE, tr.ScalarConfig(1, 1, -1), "free",
+        ("weight", "friendly", 0.0, 0.2, 0.1),
+        "strength must lie in [0, 1], got 1.0000000010000003",
+    ),
+    "scale_then_strength": (
+        _AT_TOLERANCE, _FRIENDLY_NONE, tr.ScalarConfig(1, 1, -1), "free",
+        ("weight", "friendly", 0.2, 0.0, 0.1),
+        _DEGENERATE + "ScalarBounds(lower=-0.2, upper=0.8, middle_band_low=-0.19759999999784,"
+        " middle_band_high=1.0)",
+    ),
+    "scale_at_first_point_only": (
+        _PLAIN, tr.WeightVector(0.5, 0.5, 0.0), tr.ScalarConfig(-1, 1, -1), "strict",
+        ("weight", "friendly", 0.2, 0.0, 0.1),
+        _DEGENERATE + "ScalarBounds(lower=-0.6000000000000001, upper=0.4,"
+        " middle_band_low=-0.20000000000000007, middle_band_high=0.6000000000000001)",
+    ),
+    "reweight_at_first_point": (
+        _PLAIN, tr.WeightVector(0.0, 0.0, 1.0), tr.DEFAULT_SIGNS, "strict",
+        ("weight", "friendly", 0.0, 1.0, 0.5),
+        "cannot renormalize: weights other than friendly are both zero",
+    ),
+    "strength_at_only_point": (
+        _AT_CAP, _NEAR_ONE, tr.DEFAULT_SIGNS, "free", ("property", "f.P2", 1e-9, 1e-9, 1e-9),
+        "strength must lie in [0, 1], got 1.0000000013",
+    ),
+    "one_point": (
+        _AT_CAP, _NEAR_ONE, tr.DEFAULT_SIGNS, "free", ("property", "f.P2", 0.0, 0.0, 0.5), None,
+    ),
+    "descending_weight": (
+        _PLAIN, tr.WeightVector(0.4, 0.2, 0.4), tr.DEFAULT_SIGNS, "strict",
+        ("weight", "hostile", 1.0, 0.0, 0.125), None,
+    ),
+    "descending_property": (
+        _PLAIN, tr.WeightVector(0.4, 0.2, 0.4), tr.DEFAULT_SIGNS, "strict",
+        ("property", "f.P1", 0.5, 0.0, 0.05), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("entries, weights, signs, mode, grid, message", ORDERED_FAILURES.values(),
+                         ids=ORDERED_FAILURES)
+def test_whatif_fails_at_its_lowest_failing_point(entries, weights, signs, mode, grid, message):
+    args = (CATALOG, _assessment(entries), weights, tr.SensitivitySpec(*grid), signs, mode)
+    want = _outcome(lambda: _reference_whatif(*args))
+    if message is not None:
+        assert want == (tr.ValidationError, message)
+    got = _outcome(lambda: tr.run_whatif(*args))
+    assert got == want
+    if message is None:
+        assert got.to_json() == want.to_json()
+
+
 # --- stores: round trip and single-field mutation ---------------------------
 
 @st.composite
@@ -605,6 +680,10 @@ a_unit = _typed_or_anything(st.one_of(st.sampled_from([0, 1, 0.0, 0.25, 0.5, 1.0
 a_day = _typed_or_anything(st.one_of(st.dates(), st.datetimes()))
 links = st.builds(tr.EvidenceLink, st.dates(), st.text(max_size=3))
 a_link = _typed_or_anything(links)
+#: A band edge: a number on a scale or any scalar; NaN, which never equals
+#: itself, is left out.
+a_band_edge = _typed_or_anything(st.floats(-1.0, 1.0)).filter(lambda x: x == x)
+a_category = _typed_or_anything(st.sampled_from(tr.CATEGORIES))
 an_entry = _typed_or_anything(st.builds(tr.AssessmentEntry, st.text(max_size=3), units,
                                         st.lists(links, max_size=2)))
 
@@ -670,6 +749,11 @@ def _link_documents(link):
     return _entry_documents(tr.AssessmentEntry("f.P1", 0.5, (link,)))
 
 
+def _band_documents(band):
+    table = tr.BandTable((band,))
+    return table, tr.band_table_from_dict(_reread(tr.band_table_to_dict(table)))
+
+
 def _property_documents(prop):
     # the drawn property, one that tops its category's caps up to 1, one per other category
     others = [tr.PropertyDef(f"{c}-all", c, 1.0) for c in tr.CATEGORIES if c is not prop.category]
@@ -690,6 +774,7 @@ WRITTEN = [
                               _some(an_entry), a_string), _assessment_documents),
     (tr.PropertyDef, st.tuples(a_string, st.sampled_from(tr.CATEGORIES), a_unit, a_string),
      _property_documents),
+    (tr.Band, st.tuples(a_string, a_band_edge, a_band_edge, a_category), _band_documents),
 ]
 
 

@@ -386,6 +386,14 @@ POST_INIT_ERRORS = [
      "trust mass 2.0 lies outside the scale [-0.4, 0.6]"),
     ("evaluation_strength", tr.TrustEvaluation, (0.1, 1.5, F, BOUNDS, False),
      "strength must lie in [0, 1], got 1.5"),
+    ("band_label", tr.Band, (7, 0.0, 0.2, N), "band label must be a string, got 7"),
+    ("band_low_string", tr.Band, ("calm", "0", 0.2, N), "band low must be a number, got '0'"),
+    ("band_high_bool", tr.Band, ("calm", 0.0, True, N), "band high must be a number, got True"),
+    # a parent is a category, not its name, which a writer reads .value of
+    ("band_parent_name", tr.Band, ("calm", 0.0, 0.2, "neutral"),
+     "band parent must be of type RelationCategory, got 'neutral'"),
+    ("band_first_of_several", tr.Band, ("calm", None, "x", None),
+     "band low must be a number, got None"),
     ("band_table_item", tr.BandTable, ((CALM, "x"),), "band table must hold only Band values, got 'x'"),
     ("band_table_none", tr.BandTable, (None,), "band table must hold only Band values, got None"),
     ("window_reversed", tr.DateWindow, (dt.date(2006, 1, 1), dt.date(2005, 12, 31)),
@@ -490,6 +498,23 @@ POST_INIT_ERRORS = [
     ("nation_id_type", tr.Nation, (7,), "nation id must be a string, got 7"),
     ("nation_name", tr.Nation, ("USA", None), "nation name must be a string, got None"),
     ("nation_un_member", tr.Nation, ("USA", "x", 1), "nation un_member must be a bool, got 1"),
+    ("record_subject", tr.RelationRecord, (7, "GBR", WINDOW), "record subject must be a string, got 7"),
+    ("record_object", tr.RelationRecord, ("USA", None, WINDOW),
+     "record object must be a string, got None"),
+    # a window is a DateWindow, whose start and end a writer reads
+    ("record_window_string", tr.RelationRecord, ("USA", "GBR", "2001-01-01..2005-12-31"),
+     "record window must be of type DateWindow, got '2001-01-01..2005-12-31'"),
+    ("record_evaluation", tr.RelationRecord, ("USA", "GBR", WINDOW, "friendly"),
+     "record evaluation must be of type TrustEvaluation, got 'friendly'"),
+    ("record_weights", tr.RelationRecord, ("USA", "GBR", WINDOW, EVALUATION, (0.4, 0.2, 0.4)),
+     "record weights must be of type WeightVector, got (0.4, 0.2, 0.4)"),
+    ("record_signs", tr.RelationRecord, ("USA", "GBR", WINDOW, EVALUATION, WEIGHTS, "-,+,+"),
+     "record signs must be of type ScalarConfig, got '-,+,+'"),
+    ("record_assessment_ref", tr.RelationRecord,
+     ("USA", "GBR", WINDOW, EVALUATION, WEIGHTS, tr.DEFAULT_SIGNS, 7),
+     "record assessment_ref must be a string, got 7"),
+    ("record_first_of_several", tr.RelationRecord, ("USA", 7, "w", "x"),
+     "record object must be a string, got 7"),
 ]
 
 
