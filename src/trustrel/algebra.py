@@ -32,7 +32,14 @@ All twenty share one ``__eq__``, ``__hash__``, ``__repr__``,
 ``dataclass(frozen=True)`` would compile from generated source for each
 class at import, a cost every CLI call pays; only ``_frozen``'s
 ``__init__`` is compiled per class (and from 3.13 on one batch per
-``dataclass()`` call, whatever it generates).  The shared
+``dataclass()`` call, whatever it generates).  The seven types a
+document reader or the assessment scan builds after checking every field
+(``CategoryMassVector``, ``Band``, ``BandTable``, ``EvidenceLink``,
+``AssessmentEntry``, ``Assessment`` and ``RelationRecord``) also get a
+positional ``_unchecked`` builder, compiled in the same ``exec`` as their
+``__init__``: the same dict writes without the ``__post_init__``, so each
+field read from a document is checked once.  The others have none, as
+each builder costs compile time at every import.  The shared
 ``__setattr__`` and ``__delattr__`` raise the dataclass's
 ``FrozenInstanceError`` for every name, on a subclass too, where the
 generated ones refuse only field names; ``__dataclass_params__.frozen``
@@ -104,6 +111,20 @@ def _number(value, what: str) -> None:
         raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
+def _float_number(value, what: str) -> None:
+    """Refuse ``value``, named ``what``, unless it is a number (see
+    ``_number``) that a float holds exactly: an int past a float's range or
+    precision would be written as one number and read back as another, or
+    not at all.  A float, NaN too, passes."""
+    _number(value, what)
+    try:
+        exact = isinstance(value, float) or float(value) == value
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise ValidationError(f"{what} must be a number that a float holds exactly, got {value}")
+
+
 def _in_range(value, what: str, low: float = 0.0, high: float = 1.0) -> None:
     """Refuse ``value``, named ``what``, unless it is a number (see
     ``_number``) in ``[low, high]``; the message names the interval [0, 1],
@@ -150,33 +171,51 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _frozen(cls: type) -> type:
+def _frozen(cls: type | None = None, *, unchecked: bool = False):
     """A dataclass frozen by the shared ``__setattr__`` and ``__delattr__``,
     with the shared ``__eq__``, ``__hash__`` and ``__repr__`` and a
     generated ``__init__`` that writes the fields into the instance dict
     (see the module docstring).  Every field is positional and compared,
     field defaults must be plain values, and no field may be named
-    ``self`` or ``fields``."""
+    ``self``, ``fields``, ``_new`` or ``_cls``.
+
+    ``@_frozen(unchecked=True)`` compiles, in the same ``exec``, the static
+    method ``_unchecked``: a builder with the same parameters that makes
+    the instance with ``object.__new__`` and does the same dict writes,
+    but calls no ``__post_init__``.  Call it only with arguments that the
+    ``__post_init__`` would accept unchanged: each field of the type it
+    checks, each sequence already a tuple.  A document reader that makes
+    every check the constructor makes may use it; a new check in the
+    constructor must then be made by each such reader too."""
+    if cls is None:
+        return lambda cls: _frozen(cls, unchecked=unchecked)
     cls = dataclass(init=False, repr=False, eq=False)(cls)
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
-    namespace = {"__name__": cls.__module__}
+    namespace = {"__name__": cls.__module__, "_new": object.__new__, "_cls": cls}
     declared = fields(cls)
-    params, body = [], ["fields = self.__dict__"]
+    params, stores = [], ""
     for f in declared:
         if f.default is MISSING:
             params.append(f.name)
         else:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"fields[{f.name!r}] = {f.name}")
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+        stores += f"    fields[{f.name!r}] = {f.name}\n"
+    params = ", ".join(params)
+    post_init = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    source = f"def __init__(self, {params}):\n    fields = self.__dict__\n{stores}{post_init}"
+    if unchecked:
+        source += (f"def _unchecked({params}):\n    self = _new(_cls)\n"
+                   f"    fields = self.__dict__\n{stores}    return self\n")
+    exec(source, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**{f.name: f.type for f in declared}, "return": None}
     cls.__init__ = init
+    if unchecked:
+        namespace["_unchecked"].__qualname__ = f"{cls.__qualname__}._unchecked"
+        cls._unchecked = staticmethod(namespace["_unchecked"])
     return cls
 
 
@@ -266,7 +305,7 @@ class ScalarBounds(_Fields):
             )
 
 
-@_frozen
+@_frozen(unchecked=True)
 class CategoryMassVector(_PerCategory):
     """Aggregated evidence mass per category, each in [0, 1].
 
@@ -383,7 +422,7 @@ def _check_on_scale(trust_mass: float, lower: float, upper: float) -> None:
         raise ValidationError(f"trust mass {trust_mass} lies outside the scale [{lower}, {upper}]")
 
 
-@_frozen
+@_frozen(unchecked=True)
 class Band:
     """One labelled sub-interval of a category's region on the scale."""
 
@@ -394,12 +433,12 @@ class Band:
 
     def __post_init__(self) -> None:
         _string(self.label, "band label")
-        _number(self.low, "band low")
-        _number(self.high, "band high")
+        _float_number(self.low, "band low")
+        _float_number(self.high, "band high")
         _typed(self.parent, RelationCategory, "band parent")
 
 
-@_frozen
+@_frozen(unchecked=True)
 class BandTable:
     """Ordered, contiguous refinement of the scale into labelled bands.
 
@@ -540,8 +579,13 @@ class StrengthInterpretation(_Fields):
         Strength near the weighted neutral mass: the evidence leans on
         the neutral category.
     no_hostile
-        Strength and trust mass are identical and positive, which can
-        only happen when no hostile evidence entered the computation.
+        Strength and trust mass agree within tolerance and are positive:
+        some evidence entered, and none of it with a negative sign.
+        Under the default signs that is the weighted hostile mass being
+        0.  Under a positive hostile sign, hostile evidence counts toward
+        the score and leaves this flag set, where
+        ``TrustEvaluation.no_hostile``, which says that the weighted
+        hostile mass is exactly 0 whatever the signs, is False.
 
     The raw and weighted distances from the neutral mass are reported
     alongside, since "near" is a judgement call left to the observer.

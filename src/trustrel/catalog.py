@@ -109,7 +109,7 @@ class PropertyCatalog:
         return tuple(p for p in self.properties if p.category is category)
 
 
-@_frozen
+@_frozen(unchecked=True)
 class EvidenceLink:
     """Pointer to one event backing an observed property value."""
 
@@ -118,16 +118,12 @@ class EvidenceLink:
     summary: str = ""
 
     def __post_init__(self) -> None:
-        fields = self.__dict__
-        day, source, summary = fields["date"], fields["source"], fields["summary"]
-        # one test for the common case; the rest only names the failure
-        if not (type(day) is date and type(source) is type(summary) is str):
-            _typed(day, date, "evidence date")
-            _string(source, "evidence source")
-            _string(summary, "evidence summary")
+        _typed(self.date, date, "evidence date")
+        _string(self.source, "evidence source")
+        _string(self.summary, "evidence summary")
 
 
-@_frozen
+@_frozen(unchecked=True)
 class AssessmentEntry:
     """Observed value for one catalog property, with its evidence."""
 
@@ -136,16 +132,12 @@ class AssessmentEntry:
     evidence: tuple[EvidenceLink, ...] = ()
 
     def __post_init__(self) -> None:
-        fields = self.__dict__
-        pid, value = fields["property_id"], fields["value"]
-        # one test for the common case; the rest only names the failure
-        if not (type(value) is float and 0.0 <= value <= 1.0 and type(pid) is str):
-            _string(pid, "entry property id")
-            _in_range(value, f"observed value for {pid!r}")
-        fields["evidence"] = _tuple_of(fields["evidence"], EvidenceLink, "entry evidence")
+        _string(self.property_id, "entry property id")
+        _in_range(self.value, f"observed value for {self.property_id!r}")
+        self.__dict__["evidence"] = _tuple_of(self.evidence, EvidenceLink, "entry evidence")
 
 
-@_frozen
+@_frozen(unchecked=True)
 class Assessment:
     """Observed property values of one directed pair over one window."""
 
@@ -312,7 +304,8 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
             violation(message)
     if report is not None and not report.ok:  # its totals may exceed 1
         return None
-    masses = CategoryMassVector(*totals)
+    # unchecked: each total sums values in [0, 1] from 0.0, and _total_breach caps it
+    masses = CategoryMassVector._unchecked(*totals)
     if report is not None:
         assessment.__dict__[_KEPT_MASSES] = (catalog, mode, masses)
     return masses
@@ -474,22 +467,25 @@ def assessment_from_dict(doc: dict) -> Assessment:
     window = window_from_dict(_field(doc, "window", dict, "assessment"), "assessment.window")
     entries = _items(_field(doc, "entries", list, "assessment"), _entry_from_dict,
                      "assessment.entries")
-    return Assessment(_field(doc, "subject", str, "assessment"),
-                      _field(doc, "object", str, "assessment"), window, entries,
-                      _field(doc, "notes", str, "assessment", ""))
+    return Assessment._unchecked(_field(doc, "subject", str, "assessment"),
+                                 _field(doc, "object", str, "assessment"), window, entries,
+                                 _field(doc, "notes", str, "assessment", ""))
 
 
 def _entry_from_dict(doc: dict) -> AssessmentEntry:
     """One entry of an assessment document; errors are relative to it."""
     evidence = _items(_field(doc, "evidence", list, "", []), _link_from_dict, ".evidence")
-    return AssessmentEntry(_field(doc, "property", str, ""), _field(doc, "value", float, ""),
-                           evidence)
+    pid, value = _field(doc, "property", str, ""), _field(doc, "value", float, "")
+    if not 0.0 <= value <= 1.0:  # AssessmentEntry's check, whose message is built only here
+        raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
+    return AssessmentEntry._unchecked(pid, value, evidence)
 
 
 def _link_from_dict(doc: dict) -> EvidenceLink:
     """One evidence link of an entry; errors are relative to it."""
-    return EvidenceLink(_parse_date(_field(doc, "date", str, ""), ""),
-                        _field(doc, "source", str, ""), _field(doc, "summary", str, "", ""))
+    return EvidenceLink._unchecked(_parse_date(_field(doc, "date", str, ""), ""),
+                                   _field(doc, "source", str, ""),
+                                   _field(doc, "summary", str, "", ""))
 
 
 def assessment_to_dict(assessment: Assessment) -> dict:

@@ -66,7 +66,7 @@ class Nation:
             raise ValidationError(f"nation un_member must be a bool, got {self.un_member!r}")
 
 
-@_frozen
+@_frozen(unchecked=True)
 class RelationRecord:
     """One directed perception over one window: evaluated or undefined."""
 
@@ -384,7 +384,8 @@ def _record_from_dict(doc: dict) -> RelationRecord:
     band_label = _field(raw_eval, "band_label", str, ".evaluation", None)
     evaluation = TrustEvaluation(trust_mass, strength, label, bounds, no_hostile, band_label)
     assessment_ref = _field(doc, "assessment_ref", str, "", None)
-    record = RelationRecord(subject, object_, window, evaluation, weights, signs, assessment_ref)
+    record = RelationRecord._unchecked(subject, object_, window, evaluation, weights, signs,
+                                       assessment_ref)
     if (no_hostile and signs.neutral == signs.friendly == 1
             and abs(strength - trust_mass) > TOLERANCE):
         raise SchemaError(

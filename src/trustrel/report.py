@@ -527,15 +527,15 @@ def band_table_from_dict(doc: dict) -> BandTable:
     and parent in that order in each band."""
     if not isinstance(doc, dict):
         raise SchemaError("band_table: expected an object")
-    return BandTable(_items(_field(doc, "bands", list, "band_table"), _band_from_dict,
-                            "band_table.bands"))
+    return BandTable._unchecked(_items(_field(doc, "bands", list, "band_table"), _band_from_dict,
+                                       "band_table.bands"))
 
 
 def _band_from_dict(doc: dict) -> Band:
     """One band of a band table document; errors are relative to it."""
-    return Band(_field(doc, "label", str, ""), _field(doc, "low", float, ""),
-                _field(doc, "high", float, ""),
-                _parse_category(_field(doc, "parent", str, ""), ".parent"))
+    return Band._unchecked(_field(doc, "label", str, ""), _field(doc, "low", float, ""),
+                           _field(doc, "high", float, ""),
+                           _parse_category(_field(doc, "parent", str, ""), ".parent"))
 
 
 def band_table_to_dict(table: BandTable) -> dict:

@@ -331,6 +331,15 @@ class TestInterpretation:
         assert abs(flags.weighted_neutral_distance) <= 1e-9
         assert abs(flags.raw_neutral_distance - 0.6) <= 1e-9
 
+    def test_no_hostile_flags_differ_under_a_positive_hostile_sign(self):
+        # the evaluation's flag reads the weighted hostile mass, the
+        # interpretation's only whether any evidence entered with a negative sign
+        w, plus = tr.WeightVector(0.45, 0.10, 0.45), tr.ScalarConfig(1, 1, 1)
+        ev = tr.evaluate(tr.CategoryMassVector(0.9, 0.6, 0.15), w, plus)
+        assert not ev.no_hostile
+        assert tr.interpret_strength(ev, 0.6).no_hostile
+        assert ev.strength == ev.trust_mass > 0.0
+
     def test_delta_is_configurable(self, generic_weights):
         ev = tr.evaluate(tr.CategoryMassVector(0.9, 0.6, 0.15), generic_weights)
         assert not tr.interpret_strength(ev, 0.6, delta=0.01).fair_consistent

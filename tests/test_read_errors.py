@@ -9,13 +9,24 @@ where the 401 digits of ``10**400`` are written as ``10**400``.
 Regenerate only for an intended change to a reader's errors:
 
     PYTHONPATH=src python tests/test_read_errors.py --write
+
+The assessment, band table and store readers build their values with
+``_unchecked`` builders, which skip the constructors' checks.  A property
+over drawn one-field edits reads each copy again with every builder
+replaced by its checked constructor: the values must be the same, field by
+field and type by type, and the outcome must be the same, with no
+constructor ever refusing what its reader accepted.
 """
 
+import dataclasses
 import pathlib
 import re
 import sys
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trustrel as tr
 
@@ -129,6 +140,100 @@ def _golden() -> dict[str, list[str]]:
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_every_one_field_edit_reads_as_pinned(name):
     assert outcomes(name) == _golden()[name]
+
+
+def _read_and_scan(doc):
+    """An assessment read from ``doc``, and the outcome of scanning it in
+    each cap mode, whose masses are built unchecked too."""
+    assessment = tr.assessment_from_dict(doc)
+    catalog = tr.default_catalog()
+    return (assessment, *(_read(lambda a: tr.aggregate_masses(a, catalog, mode), assessment)
+                          for mode in tr.catalog.CAP_MODES))
+
+
+#: document name -> its reader, and the types it builds with ``_unchecked``
+UNCHECKED_READS = {
+    "assessment": (_read_and_scan, (tr.EvidenceLink, tr.AssessmentEntry, tr.Assessment,
+                                    tr.CategoryMassVector)),
+    "band_table": (tr.band_table_from_dict, (tr.Band, tr.BandTable)),
+    "store": (lambda doc: (lambda store: (store.nations, store.records))(
+        tr.RelationStore.from_dict(doc)), (tr.RelationRecord,)),
+}
+
+#: A field's new value: an edit of ``EDIT_VALUES``, any JSON value, or a
+#: date, category or number near a field's edge.
+JSON_VALUES = st.one_of(
+    st.sampled_from(list(EDIT_VALUES.values())),
+    st.sampled_from(["2001-01-01", "2005-12-31", "2006-01-01", "2000-12-31", "hostile",
+                     "neutral", "friendly", -0.0, 1.0000000001, 2**53 + 1, float("inf")]),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                 lambda inner: st.lists(inner, max_size=2)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=3),
+)
+
+
+def _read(read, doc):
+    """``(value, None)`` read from ``doc``, or ``(None, (type, message))``."""
+    try:
+        return read(doc), None
+    except Exception as err:  # any type a reader raises is part of the outcome
+        return None, (type(err), str(err))
+
+
+@contextmanager
+def _checked_builds(types, refusals):
+    """Each type's ``_unchecked`` replaced by its checked constructor, which
+    appends each refusal to ``refusals``."""
+    def checked(cls):
+        def build(*args):
+            try:
+                return cls(*args)
+            except tr.ValidationError as err:
+                refusals.append(f"{cls.__name__}: {err}")
+                raise
+        return staticmethod(build)
+
+    saved = {cls: vars(cls)["_unchecked"] for cls in types}
+    try:
+        for cls in types:
+            cls._unchecked = checked(cls)
+        yield
+    finally:
+        for cls, build in saved.items():
+            cls._unchecked = build
+
+
+def _same(ours, theirs):
+    """``ours`` is ``theirs`` field by field: each value, nested ones too, of
+    the same type, and each other field of the same type and repr."""
+    assert type(ours) is type(theirs)
+    if dataclasses.is_dataclass(ours):
+        assert vars(ours).keys() == vars(theirs).keys()
+        for name in vars(ours):
+            _same(getattr(ours, name), getattr(theirs, name))
+    elif type(ours) is tuple:
+        assert len(ours) == len(theirs)
+        for one, other in zip(ours, theirs):
+            _same(one, other)
+    else:
+        assert repr(ours) == repr(theirs)
+
+
+@pytest.mark.parametrize("name", UNCHECKED_READS)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_unchecked_build_is_the_checked_one(name, data):
+    doc = DOCUMENTS[name][0]
+    read, types = UNCHECKED_READS[name]
+    path = data.draw(st.sampled_from([()] + list(_paths(doc))))
+    edited = mutated(doc, [(path, data.draw(JSON_VALUES))])
+    refusals = []
+    with _checked_builds(types, refusals):
+        checked = _read(read, edited)
+    unchecked = _read(read, edited)
+    assert refusals == []  # every document a constructor would refuse, its reader refused
+    assert unchecked[1] == checked[1]
+    _same(unchecked[0], checked[0])
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

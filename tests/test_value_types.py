@@ -92,6 +92,10 @@ VALUE_TYPES = [
 ]
 CASES = pytest.mark.parametrize("cls, args, names, change", VALUE_TYPES,
                                 ids=[case[0].__name__ for case in VALUE_TYPES])
+#: The types with an ``_unchecked`` builder: those a document reader or the
+#: assessment scan builds after making every check of their ``__post_init__``.
+UNCHECKED = {tr.CategoryMassVector, tr.Band, tr.BandTable, tr.EvidenceLink, tr.AssessmentEntry,
+             tr.Assessment, tr.RelationRecord}
 
 
 def test_every_frozen_value_type_is_in_the_table():
@@ -172,12 +176,29 @@ def test_eq_hash_and_repr_are_shared_and_only_three_methods_are_generated(
     assert all(vars(cls)[name] is method for name, method in zip(
         ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"), shared))
     assert cls.__match_args__ == names
-    assert _generated(cls) == {"__init__"}
+    assert _generated(cls) == ({"__init__", "_unchecked"} if cls in UNCHECKED else {"__init__"})
     # _frozen's __init__ reads no name but the instance dict, which it fills
     # field by field, and __post_init__; the dataclass one stores each field
     # through object.__setattr__
     post_init = ("__post_init__",) if hasattr(cls, "__post_init__") else ()
     assert cls.__init__.__code__.co_names == ("__dict__",) + post_init
+    if cls in UNCHECKED:
+        # the builder makes the instance and fills the same dict; it reads
+        # no attribute but the instance dict, and calls no __post_init__
+        build = cls._unchecked
+        assert build.__code__.co_names == ("_new", "_cls", "__dict__")
+        assert build.__globals__["_new"] is object.__new__ and build.__globals__["_cls"] is cls
+        assert build.__globals__ is cls.__init__.__globals__
+        params = list(inspect.signature(cls).parameters.values())
+        assert list(inspect.signature(build).parameters.values()) == [
+            p.replace(annotation=inspect.Parameter.empty) for p in params]
+        built = build(*args)
+        assert type(built) is cls and vars(built) == vars(cls(*args)) == dict(zip(names, args))
+        assert built == cls(*args) and hash(built) == hash(cls(*args))
+        assert repr(built) == repr(cls(*args))
+        assert pickle.dumps(built) == pickle.dumps(cls(*args))
+    else:
+        assert not hasattr(cls, "_unchecked")
 
 
 def _generated(cls):
@@ -325,6 +346,12 @@ def test_dict_form_keeps_field_order(cls, args, names, change):
         assert list(value.as_dict().items()) == list(zip(names, args))
 
 
+def test_band_edges_a_float_holds_are_kept():
+    # NaN is a float, which a band table document holds (tests/golden/read_errors.txt)
+    for edge in (2**53, -(2**60), 2**1000, 1, 0.0, math.nan, math.inf):
+        assert tr.Band("x", edge, edge, F).low is edge
+
+
 def test_sequences_are_stored_as_tuples():
     assert tr.BandTable([CALM]).bands == (CALM,)
     assert tr.AssessmentEntry("f.P1", 0.3, [LINK]).evidence == (LINK,)
@@ -394,6 +421,16 @@ POST_INIT_ERRORS = [
      "band parent must be of type RelationCategory, got 'neutral'"),
     ("band_first_of_several", tr.Band, ("calm", None, "x", None),
      "band low must be a number, got None"),
+    # an int edge is written as an int and read back as a float: one that a
+    # float does not hold would read back as another number, or not at all
+    ("band_low_past_float_precision", tr.Band, ("x", 2**60 + 1, 1.0, F),
+     "band low must be a number that a float holds exactly, got 1152921504606846977"),
+    ("band_high_past_float_precision", tr.Band, ("x", 0.0, -(2**53 + 1), F),
+     "band high must be a number that a float holds exactly, got -9007199254740993"),
+    ("band_low_past_float_range", tr.Band, ("x", 10**400, 1.0, F),
+     f"band low must be a number that a float holds exactly, got {10**400}"),
+    ("band_high_past_float_range", tr.Band, ("x", 0.0, -(10**400), F),
+     f"band high must be a number that a float holds exactly, got {-(10**400)}"),
     ("band_table_item", tr.BandTable, ((CALM, "x"),), "band table must hold only Band values, got 'x'"),
     ("band_table_none", tr.BandTable, (None,), "band table must hold only Band values, got None"),
     ("window_reversed", tr.DateWindow, (dt.date(2006, 1, 1), dt.date(2005, 12, 31)),
