@@ -151,13 +151,18 @@ def _read_and_scan(doc):
                           for mode in tr.catalog.CAP_MODES))
 
 
+def _load_store(doc):
+    """The nations and records of the store read from ``doc``."""
+    store = tr.RelationStore.from_dict(doc)
+    return store.nations, store.records
+
+
 #: document name -> its reader, and the types it builds with ``_unchecked``
 UNCHECKED_READS = {
     "assessment": (_read_and_scan, (tr.EvidenceLink, tr.AssessmentEntry, tr.Assessment,
                                     tr.CategoryMassVector)),
     "band_table": (tr.band_table_from_dict, (tr.Band, tr.BandTable)),
-    "store": (lambda doc: (lambda store: (store.nations, store.records))(
-        tr.RelationStore.from_dict(doc)), (tr.RelationRecord,)),
+    "store": (_load_store, (tr.RelationRecord,)),
 }
 
 #: A field's new value: an edit of ``EDIT_VALUES``, any JSON value, or a
