@@ -133,7 +133,10 @@ class AssessmentEntry:
 
     def __post_init__(self) -> None:
         _string(self.property_id, "entry property id")
-        _in_range(self.value, f"observed value for {self.property_id!r}")
+        value = self.value
+        # _in_range's own fast test: its message is built only for a value that misses it
+        if type(value) is not float or not 0.0 <= value <= 1.0:
+            _in_range(value, f"observed value for {self.property_id!r}")
         self.__dict__["evidence"] = _tuple_of(self.evidence, EvidenceLink, "entry evidence")
 
 
@@ -269,6 +272,7 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
         report.violations.append(message)
 
     by_id = catalog.by_id
+    strict = mode == "strict"
     window = assessment.window
     start, end = window.start, window.end
     # one slot per category, in CATEGORIES order: indexing a list skips
@@ -289,14 +293,17 @@ def _scan(assessment: Assessment, catalog: PropertyCatalog, mode: str,
                         f"falls outside the window {window}"
                     )
         before = running.get(pid, 0.0)
-        running[pid] = before + value
+        running[pid] = after = before + value
         prop = by_id.get(pid)
         if prop is None:
             violation(f"unknown property id {pid!r}")
             continue
-        message = _cap_breach(prop, value, mode, before)
-        if message is not None:
-            violation(message)
+        # _cap_breach finds a breach only where the property's total passes
+        # its cap: a value above the cap passes it too, as before >= 0
+        if strict and after > prop.cap + TOLERANCE:
+            message = _cap_breach(prop, value, mode, before)
+            if message is not None:
+                violation(message)
         totals[CATEGORIES.index(prop.category)] += value
     for category, total in zip(CATEGORIES, totals):
         message = _total_breach(category, total)
@@ -340,11 +347,16 @@ def _field(doc: dict, key: str, kind: type, where: str, default=_MISSING):
     a ``default`` may be absent, or null if the default is None.  Errors
     are located at ``where``, or relative to ``doc`` when it is "".
 
-    Every reader of a document reads each field through this, once and in
-    a fixed order, so the first fault read is the one reported; a document,
-    a field and a list item (in ``_items``) are each checked once to be an
-    object.  A location is built only for the error: each item of a list is
-    read relative to itself, and ``_items`` prefixes its location if it fails.
+    Every reader of a document reads each field once and in a fixed order,
+    so the first fault read is the one reported; a document, a field and a
+    list item (in ``_items``) are each checked once to be an object.  The
+    assessment readers, which read every field of every document the
+    library loop sees, read a field with ``doc.get`` (its default too) and
+    make the exact-type test below inline; only when that test fails do
+    they call this, which reads the field again to raise or to convert an
+    int.  The other readers read every field through this.
+    A location is built only for the error: each item of a list is read
+    relative to itself, and ``_items`` prefixes its location if it fails.
     """
     value = doc.get(key, default)
     if type(value) is kind:  # the common case, decided by the checks below too
@@ -439,8 +451,13 @@ def catalog_to_dict(catalog: PropertyCatalog) -> dict:
 
 def window_from_dict(doc: dict, where: str) -> DateWindow:
     """A window object; errors are located at ``where``."""
-    return DateWindow(_parse_date(_field(doc, "start", str, where), where, ".start"),
-                      _parse_date(_field(doc, "end", str, where), where, ".end"))
+    start, end = doc.get("start"), doc.get("end")
+    if type(start) is not str:
+        start = _field(doc, "start", str, where)
+    start = _parse_date(start, where, ".start")
+    if type(end) is not str:
+        end = _field(doc, "end", str, where)
+    return DateWindow(start, _parse_date(end, where, ".end"))
 
 
 def window_to_dict(window: DateWindow) -> dict:
@@ -464,18 +481,33 @@ def assessment_from_dict(doc: dict) -> Assessment:
     evidence, then property and value."""
     if not isinstance(doc, dict):
         raise SchemaError("assessment: expected an object")
-    window = window_from_dict(_field(doc, "window", dict, "assessment"), "assessment.window")
-    entries = _items(_field(doc, "entries", list, "assessment"), _entry_from_dict,
-                     "assessment.entries")
-    return Assessment._unchecked(_field(doc, "subject", str, "assessment"),
-                                 _field(doc, "object", str, "assessment"), window, entries,
-                                 _field(doc, "notes", str, "assessment", ""))
+    window, entries = doc.get("window"), doc.get("entries")
+    if type(window) is not dict:
+        window = _field(doc, "window", dict, "assessment")
+    window = window_from_dict(window, "assessment.window")
+    if type(entries) is not list:
+        entries = _field(doc, "entries", list, "assessment")
+    entries = _items(entries, _entry_from_dict, "assessment.entries")
+    subject, object_, notes = doc.get("subject"), doc.get("object"), doc.get("notes", "")
+    if type(subject) is not str:
+        subject = _field(doc, "subject", str, "assessment")
+    if type(object_) is not str:
+        object_ = _field(doc, "object", str, "assessment")
+    if type(notes) is not str:
+        notes = _field(doc, "notes", str, "assessment", "")
+    return Assessment._unchecked(subject, object_, window, entries, notes)
 
 
 def _entry_from_dict(doc: dict) -> AssessmentEntry:
     """One entry of an assessment document; errors are relative to it."""
-    evidence = _items(_field(doc, "evidence", list, "", []), _link_from_dict, ".evidence")
-    pid, value = _field(doc, "property", str, ""), _field(doc, "value", float, "")
+    evidence, pid, value = doc.get("evidence", []), doc.get("property"), doc.get("value")
+    if type(evidence) is not list:
+        evidence = _field(doc, "evidence", list, "", [])
+    evidence = _items(evidence, _link_from_dict, ".evidence")
+    if type(pid) is not str:
+        pid = _field(doc, "property", str, "")
+    if type(value) is not float:  # an int is converted
+        value = _field(doc, "value", float, "")
     if not 0.0 <= value <= 1.0:  # AssessmentEntry's check, whose message is built only here
         raise ValidationError(f"observed value for {pid!r} must lie in [0, 1], got {value}")
     return AssessmentEntry._unchecked(pid, value, evidence)
@@ -483,9 +515,15 @@ def _entry_from_dict(doc: dict) -> AssessmentEntry:
 
 def _link_from_dict(doc: dict) -> EvidenceLink:
     """One evidence link of an entry; errors are relative to it."""
-    return EvidenceLink._unchecked(_parse_date(_field(doc, "date", str, ""), ""),
-                                   _field(doc, "source", str, ""),
-                                   _field(doc, "summary", str, "", ""))
+    day, source, summary = doc.get("date"), doc.get("source"), doc.get("summary", "")
+    if type(day) is not str:
+        day = _field(doc, "date", str, "")
+    day = _parse_date(day, "")
+    if type(source) is not str:
+        source = _field(doc, "source", str, "")
+    if type(summary) is not str:
+        summary = _field(doc, "summary", str, "", "")
+    return EvidenceLink._unchecked(day, source, summary)
 
 
 def assessment_to_dict(assessment: Assessment) -> dict:

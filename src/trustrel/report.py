@@ -56,6 +56,17 @@ from .errors import SchemaError, ValidationError
 #: Decimal places used by the text and CSV renderings.
 TEXT_PRECISION = 6
 
+#: The columns of ``EvaluationReport.to_csv``, and its header line, which
+#: ``csv.writer`` would write the same: no name needs quoting.
+_CSV_COLUMNS = (
+    "weight_hostile", "weight_neutral", "weight_friendly",
+    "sign_hostile", "sign_neutral", "sign_friendly",
+    "lower", "upper", "middle_band_low", "middle_band_high",
+    "mass_hostile", "mass_neutral", "mass_friendly",
+    "trust_mass", "strength", "label", "band_label",
+)
+_CSV_HEADER = ",".join(_CSV_COLUMNS) + "\n"
+
 
 @_frozen
 class EvaluationReport:
@@ -128,17 +139,8 @@ class EvaluationReport:
     def to_csv(self) -> str:
         p = f".{TEXT_PRECISION}f"
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            [
-                "weight_hostile", "weight_neutral", "weight_friendly",
-                "sign_hostile", "sign_neutral", "sign_friendly",
-                "lower", "upper", "middle_band_low", "middle_band_high",
-                "mass_hostile", "mass_neutral", "mass_friendly",
-                "trust_mass", "strength", "label", "band_label",
-            ]
-        )
-        writer.writerow(
+        buffer.write(_CSV_HEADER)
+        csv.writer(buffer, lineterminator="\n").writerow(
             [
                 f"{self.weights.hostile:{p}}", f"{self.weights.neutral:{p}}",
                 f"{self.weights.friendly:{p}}",
@@ -434,26 +436,29 @@ def _weight_columns(
 ) -> tuple:
     """A weight sweep's columns, which stop before its first failing point,
     and that point's error, or None: each point reweighted and scaled on
-    plain floats by ``_reweighted`` and ``_edges``, the code of ``reweight``
-    and ``compute_bounds``; a point that may fail a check is left to those
-    two functions, which raise its error."""
+    plain floats by the operations of ``_reweighted`` and ``_edges``, the
+    code of ``reweight`` and ``compute_bounds``; a point that may fail a
+    check is left to those two functions, which raise its error."""
     category = spec.target_category()
     index = CATEGORIES.index(category)
     # float signs give the int signs' bits, multiplied faster
     sh, sn, sf = float(signs.hostile), float(signs.neutral), float(signs.friendly)
     o0, o1 = [weights[c] for c in CATEGORIES if c is not category]
-    points, error = [], None
-    try:
-        for value in values:
-            points.append(_reweighted(o0, o1, index, value))
-    except ValidationError as err:  # the points before the first it refuses stay
-        error = err
-    if not points:
+    other_sum, error = o0 + o1, None
+    if other_sum <= 0.0:  # _reweighted refuses the first value the others cannot absorb
+        for k, value in enumerate(values):
+            try:
+                _reweighted(o0, o1, index, value)
+            except ValidationError as err:  # the points before it stay
+                values, error = values[:k], err
+                break
+        a = b = [0.0] * len(values)
+    else:  # _reweighted's scale and products, a column each
+        scales = [(1.0 - value) / other_sum for value in values]
+        a, b = [o0 * scale for scale in scales], [o1 * scale for scale in scales]
+    if not values:
         return ((),) * 10, error
-    # transposed at once: a tuple kept per point would count toward the
-    # young generation's next garbage collection
-    wh, wn, wf = zip(*points)
-    del points
+    wh, wn, wf = (values, a, b) if index == 0 else (a, values, b) if index == 1 else (a, b, values)
     lower, upper, band_low, band_high = zip(*[_edges(h, n, f, sh, sn, sf)
                                               for h, n, f in zip(wh, wn, wf)])
     columns = [wh, wn, wf, lower, upper, band_low, band_high]

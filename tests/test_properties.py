@@ -22,6 +22,8 @@ from trustrel import RelationCategory as RC
 from trustrel.algebra import TOLERANCE
 from trustrel.catalog import CAP_MODES
 
+from conftest import FIXTURES
+from document_edits import mutated
 from sweep_reference import replace_entry_value
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -1009,6 +1011,67 @@ def test_validate_then_report_and_sweep_scan_once(monkeypatch, usa_assessment):
     tr.aggregate_masses(fresh, CATALOG)
     tr.aggregate_masses(fresh, CATALOG)
     assert len(scans) == 4
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The calls, from now on, of catalog function ``name``, which still runs."""
+    calls = []
+    real = getattr(trustrel.catalog, name)
+    monkeypatch.setattr(trustrel.catalog, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _usa_document() -> dict:
+    return json.loads((FIXTURES / "usa_gbr_2001_2005.json").read_text(encoding="utf-8"))
+
+
+def test_a_plain_document_is_read_and_scanned_without_the_field_and_cap_checkers(monkeypatch):
+    fields, breaches = _counted(monkeypatch, "_field"), _counted(monkeypatch, "_cap_breach")
+    assessment = tr.assessment_from_dict(_usa_document())
+    assert tr.validate_assessment(assessment, CATALOG).ok
+    assert (len(fields), len(breaches)) == (0, 0)
+    # an int value is read through _field, which converts it
+    doc = _usa_document()
+    doc["entries"][0]["value"] = 0
+    assert type(tr.assessment_from_dict(doc).entries[0].value) is float
+    assert len(fields) == 1
+    # a value over its cap reaches _cap_breach, which names it (the neutral
+    # total is then over 1 too)
+    doc["entries"][0]["value"] = 0.3
+    report = tr.validate_assessment(tr.assessment_from_dict(doc), CATALOG)
+    assert len(breaches) == 1
+    assert report.violations[0] == "value 0.3 for 'n.P1' exceeds its cap 0.25 (strict mode)"
+    # a second entry that takes the property's total over its cap does too
+    doc["entries"][0]["value"] = 0.25
+    doc["entries"].append({"property": "n.P1", "value": 0.25})
+    report = tr.validate_assessment(tr.assessment_from_dict(doc), CATALOG)
+    assert len(breaches) == 2
+    assert report.violations[0] == "entries for 'n.P1' total 0.5, above its cap 0.25 (strict mode)"
+    assert len(fields) == 1
+
+
+MISTYPED_FIELDS = {
+    "window.start": (("window", "start"), None,
+                     "assessment.window.start: expected str, got NoneType"),
+    "entries": (("entries",), {}, "assessment.entries: expected list, got dict"),
+    "link.source": (("entries", 0, "evidence", 0, "source"), 5,
+                    "assessment.entries[0].evidence[0].source: expected str, got int"),
+    "entry.value": (("entries", 0, "value"), "0.5",
+                    "assessment.entries[0].value: expected a number, got '0.5'"),
+    "entry.property": (("entries", 0, "property"), True,
+                       "assessment.entries[0].property: expected str, got bool"),
+    "notes": (("notes",), None, "assessment.notes: expected str, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("path, value, message", MISTYPED_FIELDS.values(), ids=MISTYPED_FIELDS)
+def test_a_mistyped_field_is_read_through_field_and_named(monkeypatch, path, value, message):
+    fields = _counted(monkeypatch, "_field")
+    doc = mutated(_usa_document(), [(path, value)])
+    with pytest.raises(tr.SchemaError) as err:
+        tr.assessment_from_dict(doc)
+    assert str(err.value) == message
+    assert len(fields) == 1
 
 
 def test_threads_sharing_an_assessment_get_their_own_masses(usa_assessment):

@@ -1,7 +1,9 @@
 """Unit tests for reports and what-if sweeps."""
 
+import csv
 import dataclasses
 import datetime as dt
+import io
 import json
 import sys
 import threading
@@ -61,6 +63,18 @@ class TestEvaluationReport:
         assert len(lines) == 2
         assert lines[0].startswith("weight_hostile,")
         assert "friendly" in lines[1]
+
+    def test_csv_quotes_a_band_label_in_its_data_row(self, catalog, usa_assessment, case_weights):
+        label = 'calm, "mostly"\nquiet'
+        built = tr.build_report(catalog, usa_assessment, case_weights)
+        rows = list(csv.reader(io.StringIO(dataclasses.replace(built, band_label=label).to_csv())))
+        assert [len(row) for row in rows] == [17, 17]
+        assert rows[0] == list(report._CSV_COLUMNS)
+        assert rows[1][16] == label
+        # the fixed header is the line csv.writer writes for the column names
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(report._CSV_COLUMNS)
+        assert buffer.getvalue() == report._CSV_HEADER
 
     def test_band_label_included(self, catalog, rival_assessment, generic_weights, septuple_bands):
         report = tr.build_report(
